@@ -18,8 +18,11 @@ remaining negative bodies, take the least model) and is kept deliberately
 simple and separate from the enumeration kernels so the two routes check
 each other.
 
-Enumeration is exhaustive over rule subsets in bitmask order, bounded by
-:class:`Bounds`.
+Generating sets are enumerated by :func:`prefas.kernels.enum_fixpoints`,
+which guesses the head literals a candidate derives among those occurring
+in some negative body rather than scanning every rule subset.  Results come
+in bitmask order over source rule order, and :class:`Bounds` caps the
+program size.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import kernels
-from .syntax import BoundExceededError, Literal, PrefProgram, Rule
+from .syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule
 
 ProgramLike = Union[PrefProgram, Sequence[Rule]]
 RuleOrRules = Union[Rule, Iterable[Rule]]
@@ -43,7 +46,10 @@ class Bounds:
     ``max_rules`` caps subset enumeration (generating sets and the
     preference semantics), ``max_atoms`` caps the candidate space of the
     classic-reduction oracle, and ``max_fragment_rules`` caps fragment
-    enumeration, which walks all 2^n rule subsets twice over.
+    enumeration, whose lattice can hold all 2^n rule subsets.  ``from_env``
+    reads them from ``PREFAS_MAX_RULES``, ``PREFAS_MAX_ATOMS`` and
+    ``PREFAS_MAX_FRAGMENT_RULES`` and raises ``PrefasError`` on a value that
+    is not a non-negative integer.
     """
 
     max_rules: int = 20
@@ -54,7 +60,11 @@ class Bounds:
     def from_env(cls) -> "Bounds":
         def read(name: str, default: int) -> int:
             raw = os.environ.get(name)
-            return int(raw) if raw else default
+            if not raw:
+                return default
+            if not raw.strip().isdecimal():
+                raise PrefasError(f"{name} must be a non-negative integer, not {raw!r}")
+            return int(raw)
 
         return cls(
             max_rules=read("PREFAS_MAX_RULES", cls.max_rules),
@@ -178,7 +188,7 @@ class _Index:
         )
 
     def minpos_mask(self, members: int) -> int:
-        return kernels.minpos(members, list(self.head_bits), list(self.pos_masks), list(self.pos_ok))
+        return kernels.minpos(members, self.head_bits, self.pos_masks, self.pos_ok)
 
 
 @lru_cache(maxsize=256)
@@ -226,9 +236,7 @@ def _check_rule_bound(n: int, bounds: Bounds) -> None:
 
 
 def _fixpoint_subsets(idx: _Index, remover: Sequence[int]) -> list[int]:
-    return kernels.enum_fixpoints(
-        idx.n, list(idx.head_bits), list(idx.pos_masks), list(idx.pos_ok), list(remover)
-    )
+    return kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, remover)
 
 
 def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:

@@ -22,14 +22,7 @@ from .syntax import Literal, PrefasError, format_program, parse_program
 from .transform import format_transformed, transform
 from .verify import PROPERTIES, GenParams, check_program, fuzz
 
-PROPERTY_CHOICES = (
-    "principle1",
-    "hierarchy",
-    "strat-eq",
-    "monotonicity",
-    "transform-eq",
-    "all",
-)
+PROPERTY_CHOICES = tuple(name.replace("_", "-") for name in PROPERTIES) + ("all",)
 
 
 def _set_str(literals: Iterable[Literal]) -> str:
@@ -40,8 +33,13 @@ def _sorted_sets(families: Iterable[frozenset[Literal]]) -> list[frozenset[Liter
     return sorted(families, key=_set_str)
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _solve_document(path: str, semantics: str, bounds: Bounds) -> dict:
-    program = parse_program(open(path, encoding="utf-8").read(), allow_reserved=True)
+    program = parse_program(_read(path), allow_reserved=True)
     asets = _sorted_sets(a.literals for a in answer_sets(program, bounds))
     doc = {
         "program_path": path,
@@ -106,7 +104,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    program = parse_program(open(args.file, encoding="utf-8").read())
+    program = parse_program(_read(args.file))
     text = format_transformed(transform(program))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -133,7 +131,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         if not args.file:
             raise PrefasError("check needs a program file or --random")
-        program = parse_program(open(args.file, encoding="utf-8").read())
+        program = parse_program(_read(args.file))
         violations = check_program(program, properties, bounds)
         doc = {
             "program_path": args.file,

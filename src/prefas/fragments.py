@@ -72,9 +72,7 @@ def _check_fragment_bound(n: int, bounds: Bounds) -> None:
 
 
 def _fragment_masks(idx) -> list[int]:
-    return kernels.enum_closed(
-        idx.n, list(idx.head_bits), list(idx.pos_masks), list(idx.pos_ok)
-    )
+    return kernels.enum_closed(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok)
 
 
 def fragments(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
@@ -211,8 +209,9 @@ def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
 def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentSet]:
     """One stable fragment set per generating set: all fragments inside it.
 
-    Each candidate is checked against the preference-free reduct before it
-    is returned.
+    A generating set R defeats none of its own fragments and every fragment
+    outside R, so the preference-free reduct returns exactly the fragments
+    inside R; the tests check this against ``reduct_g``.
     """
     bounds = bounds or Bounds.from_env()
     solver = _FragmentSolver(p, frozenset(), bounds)
@@ -221,10 +220,6 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     for r in generating_sets(p, bounds):
         r_mask = idx.mask_of(r)
         e_masks = [f for f in solver.frag_masks if f & ~r_mask == 0]
-        if solver.survivors(e_masks, use_prefs=False) != e_masks:
-            raise RuntimeError(
-                f"generating set {sorted(r)} did not induce a stable fragment set"
-            )
         out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e_masks)))
     return out
 
@@ -240,10 +235,6 @@ def preferred_stable_fragment_sets(
     for r in generating_sets(p, bounds):
         r_mask = idx.mask_of(r)
         e_masks = [f for f in solver.frag_masks if f & ~r_mask == 0]
-        if solver.survivors(e_masks, use_prefs=False) != e_masks:
-            raise RuntimeError(
-                f"generating set {sorted(r)} did not induce a stable fragment set"
-            )
         if solver.survivors(e_masks, use_prefs=True) == e_masks:
             out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e_masks)))
     return out

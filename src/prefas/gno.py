@@ -26,6 +26,7 @@ from .base import (
     AnswerSet,
     Bounds,
     _check_rule_bound,
+    _fixpoint_subsets,
     _index,
     is_consistent,
     minpos,
@@ -90,8 +91,6 @@ def preferred_generating_sets_gno(
     bounds = bounds or Bounds.from_env()
     idx, is_preferred = _solver(p)
     _check_rule_bound(idx.n, bounds)
-    from .base import _fixpoint_subsets
-
     out = []
     for mask in _fixpoint_subsets(idx, idx.defeater_masks):
         if is_preferred(mask):

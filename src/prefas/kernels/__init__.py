@@ -1,29 +1,16 @@
-"""Enumeration kernels: compiled extension when available, pure Python otherwise.
+"""Enumeration kernels over the bitmask tables of one program.
 
-The hot loops of this package are the 2^n scans over rule subsets.  They are
-implemented twice with the same contract: in Cython (``_ckernels``) and in
-plain Python (``python``).  The compiled module is used when it imported
-successfully; set ``PREFAS_PURE_KERNELS=1`` to force the fallback.
-``benchmarks/bench_kernels.py`` compares the two.
+There is one implementation, in ``python``, and every semantics searches
+through it.  ``enum_fixpoints`` finds the rule sets that are fixpoints of a
+reduct by guessing which removal columns a set hits instead of scanning all
+2^n rule subsets.  ``enum_closed`` scans the rule subsets for the
+self-supporting ones, and ``minpos`` computes one least fixpoint.
 """
 
-import os
+from . import python as _active
 
-from . import python as python_backend
+BACKEND = "python"
 
-try:
-    from . import _ckernels as _compiled_backend
-except ImportError:  # extension not built
-    _compiled_backend = None
-
-if os.environ.get("PREFAS_PURE_KERNELS") or _compiled_backend is None:
-    _active = python_backend
-    BACKEND = "python"
-else:
-    _active = _compiled_backend
-    BACKEND = "c"
-
-compiled_backend = _compiled_backend
 minpos = _active.minpos
 enum_fixpoints = _active.enum_fixpoints
 enum_closed = _active.enum_closed

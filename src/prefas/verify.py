@@ -21,17 +21,6 @@ from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
 
-PROPERTIES = (
-    "principle1",
-    "hierarchy",
-    "strat_eq",
-    "empty_pref",
-    "monotonicity",
-    "transform_eq",
-    "override_asym",
-    "pas_subset_as",
-)
-
 SEMANTICS = ("d", "g", "gno")
 
 
@@ -215,6 +204,63 @@ def _check_override_asym(p: PrefProgram, bounds: Bounds | None) -> Violation | N
     return None
 
 
+# Each property runs as check(program, bounds, draw).  ``draw`` holds the
+# generator parameters when ``fuzz`` produced the program and is None for a
+# given program; strat_eq and monotonicity derive their inputs from it.
+
+
+def _principle1(p: PrefProgram, bounds: Bounds | None, draw: GenParams | None) -> list[Violation]:
+    return [v for semantics in SEMANTICS for v in check_principle_1(p, semantics, bounds)]
+
+
+def _strat_eq(p: PrefProgram, bounds: Bounds | None, draw: GenParams | None) -> Violation | None:
+    if draw is not None:
+        p = random_lpp(replace(draw, stratified=True))
+    return check_strat_equivalence(p, bounds)
+
+
+def _monotonicity(
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None
+) -> Violation | None:
+    weaker = frozenset()
+    if draw is not None:
+        rng = random.Random(f"{draw.seed}/aux")
+        sub = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
+        weaker = close_preferences(sub, [r.label for r in p.rules])
+    return check_monotonicity(p.rules, weaker, p.prefs, bounds)
+
+
+_CHECKS = {
+    "principle1": _principle1,
+    "hierarchy": lambda p, bounds, draw: check_hierarchy(p, bounds),
+    "strat_eq": _strat_eq,
+    "empty_pref": lambda p, bounds, draw: _check_empty_pref(p, bounds),
+    "monotonicity": _monotonicity,
+    "transform_eq": lambda p, bounds, draw: _check_transform_eq(p, bounds),
+    "override_asym": lambda p, bounds, draw: _check_override_asym(p, bounds),
+    "pas_subset_as": lambda p, bounds, draw: _check_pas_subset_as(p, bounds),
+}
+
+PROPERTIES = tuple(_CHECKS)
+
+
+def _selected(properties: tuple[str, ...]) -> list[str]:
+    """The named properties in table order; unknown names are an error."""
+    unknown = set(properties) - set(_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown properties: {sorted(unknown)}")
+    return [name for name in _CHECKS if name in properties]
+
+
+def _run_check(
+    name: str, p: PrefProgram, bounds: Bounds | None, draw: GenParams | None
+) -> list[Violation]:
+    found = _CHECKS[name](p, bounds, draw)
+    if found is None:
+        return []
+    return found if isinstance(found, list) else [found]
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Knobs of the random program generator; a deterministic function of
@@ -352,50 +398,22 @@ def fuzz(
     program reproduces it.
     """
     properties = tuple(properties)
-    unknown = set(properties) - set(PROPERTIES)
-    if unknown:
-        raise ValueError(f"unknown properties: {sorted(unknown)}")
+    selected = _selected(properties)
     report = FuzzReport(params=params, count=count, properties=properties)
-
-    def record(found: Violation | list[Violation] | None, seed: int, name: str):
-        report.checked[name] = report.checked.get(name, 0) + 1
-        if not found:
-            return
-        items = found if isinstance(found, list) else [found]
-        report.violations.extend(replace(v, seed=seed) for v in items)
-
     for i in range(count):
         seed = params.seed + i
         draw = replace(params, seed=seed)
         p = random_lpp(draw)
-        rng = random.Random(f"{seed}/aux")
-        if "principle1" in properties:
-            found = []
-            for semantics in SEMANTICS:
-                found.extend(check_principle_1(p, semantics, bounds))
-            record(found, seed, "principle1")
-        if "hierarchy" in properties:
-            record(check_hierarchy(p, bounds), seed, "hierarchy")
+        for name in selected:
+            report.checked[name] = report.checked.get(name, 0) + 1
+            found = _run_check(name, p, bounds, draw)
+            report.violations.extend(replace(v, seed=seed) for v in found)
+        if "hierarchy" in selected:
             fam = {s: preferred_families(p, s, bounds) for s in SEMANTICS}
             if fam["gno"] < fam["g"]:
                 report.strict_g_over_gno += 1
             if fam["g"] < fam["d"]:
                 report.strict_d_over_g += 1
-        if "strat_eq" in properties:
-            strat = random_lpp(replace(draw, stratified=True))
-            record(check_strat_equivalence(strat, bounds), seed, "strat_eq")
-        if "empty_pref" in properties:
-            record(_check_empty_pref(p, bounds), seed, "empty_pref")
-        if "monotonicity" in properties:
-            sub = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
-            prefs1 = close_preferences(sub, [r.label for r in p.rules])
-            record(check_monotonicity(p.rules, prefs1, p.prefs, bounds), seed, "monotonicity")
-        if "transform_eq" in properties:
-            record(_check_transform_eq(p, bounds), seed, "transform_eq")
-        if "override_asym" in properties:
-            record(_check_override_asym(p, bounds), seed, "override_asym")
-        if "pas_subset_as" in properties:
-            record(_check_pas_subset_as(p, bounds), seed, "pas_subset_as")
     return report
 
 
@@ -409,34 +427,7 @@ def check_program(
     Monotonicity is checked against the empty relation, and stratified
     equivalence is vacuous when the program is not stratified.
     """
-    properties = tuple(properties)
-    unknown = set(properties) - set(PROPERTIES)
-    if unknown:
-        raise ValueError(f"unknown properties: {sorted(unknown)}")
-    out: list[Violation] = []
-
-    def add(found: Violation | list[Violation] | None):
-        if found:
-            out.extend(found if isinstance(found, list) else [found])
-
-    if "principle1" in properties:
-        for semantics in SEMANTICS:
-            add(check_principle_1(p, semantics, bounds))
-    if "hierarchy" in properties:
-        add(check_hierarchy(p, bounds))
-    if "strat_eq" in properties:
-        add(check_strat_equivalence(p, bounds))
-    if "empty_pref" in properties:
-        add(_check_empty_pref(p, bounds))
-    if "monotonicity" in properties:
-        add(check_monotonicity(p.rules, frozenset(), p.prefs, bounds))
-    if "transform_eq" in properties:
-        add(_check_transform_eq(p, bounds))
-    if "override_asym" in properties:
-        add(_check_override_asym(p, bounds))
-    if "pas_subset_as" in properties:
-        add(_check_pas_subset_as(p, bounds))
-    return out
+    return [v for name in _selected(tuple(properties)) for v in _run_check(name, p, bounds, None)]
 
 
 @dataclass(frozen=True)

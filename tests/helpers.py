@@ -17,6 +17,16 @@ def labelset(*labels: str) -> frozenset[str]:
     return frozenset(labels)
 
 
+def subsets_in_mask_order(p):
+    """Every label set of the program's rules, ascending by bitmask over
+    rule order, as the enumerators return them."""
+    labels = [r.label for r in p.rules]
+    return [
+        frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
+        for mask in range(1 << len(labels))
+    ]
+
+
 def literal_families(answers):
     """The family of literal sets of a list of AnswerSet results."""
     return {a.literals for a in answers}

@@ -1,5 +1,13 @@
 import pytest
-from helpers import FACT_CHAIN, MUTUAL_DEFAULTS, lit, lits, literal_families, small_programs
+from helpers import (
+    FACT_CHAIN,
+    MUTUAL_DEFAULTS,
+    lit,
+    lits,
+    literal_families,
+    small_programs,
+    subsets_in_mask_order,
+)
 from hypothesis import given, settings
 
 from prefas import fixtures
@@ -18,7 +26,9 @@ from prefas.base import (
     minpos,
     reduct,
 )
-from prefas.syntax import BoundExceededError, PrefProgram, Rule, parse_program
+from prefas.direct import preferred_generating_sets_d, reduct_d
+from prefas.syntax import BoundExceededError, PrefasError, PrefProgram, Rule, parse_program
+from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
 CAR = fixtures.load("car_recommender")
@@ -119,6 +129,42 @@ class TestGeneratingSets:
     def test_bound_is_enforced(self):
         with pytest.raises(BoundExceededError):
             generating_sets(RUN, Bounds(max_rules=2))
+
+
+# Programs beyond the sizes the Hypothesis strategy draws, checked against
+# the object-level definitions over every rule subset.  Most random
+# programs of this size have one generating set; seeds 6, 18, 51 and 54
+# give several, or d-preferred sets that differ from them, at some sizes.
+LARGER_PROGRAMS = [
+    (n_rules, seed) for n_rules in (8, 10, 12) for seed in (0, 1, 6, 18, 51, 54)
+]
+
+
+class TestEnumerationMatchesDefinition:
+    @pytest.mark.parametrize("n_rules,seed", LARGER_PROGRAMS)
+    def test_generating_sets(self, n_rules, seed):
+        p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
+        expected = [r for r in subsets_in_mask_order(p) if is_generating(p, r)]
+        assert generating_sets(p) == expected
+
+    @pytest.mark.parametrize("n_rules,seed", LARGER_PROGRAMS)
+    def test_preferred_generating_sets_d(self, n_rules, seed):
+        p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
+        expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
+        assert preferred_generating_sets_d(p) == expected
+
+
+class TestBoundsFromEnv:
+    def test_reads_the_variables(self, monkeypatch):
+        monkeypatch.setenv("PREFAS_MAX_RULES", "7")
+        monkeypatch.setenv("PREFAS_MAX_FRAGMENT_RULES", "")
+        assert Bounds.from_env() == Bounds(max_rules=7)
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
+    def test_bad_value_names_variable_and_value(self, monkeypatch, raw):
+        monkeypatch.setenv("PREFAS_MAX_ATOMS", raw)
+        with pytest.raises(PrefasError, match=f"PREFAS_MAX_ATOMS.*{raw!r}"):
+            Bounds.from_env()
 
 
 class TestAnswerSets:

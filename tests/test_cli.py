@@ -1,0 +1,57 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import prefas
+from prefas import fixtures
+from prefas.cli import PROPERTY_CHOICES, main
+from prefas.verify import PROPERTIES
+
+SRC = str(Path(prefas.__file__).resolve().parent.parent)
+
+
+@pytest.fixture
+def program_file(tmp_path):
+    path = tmp_path / "indirect.lpp"
+    path.write_text(fixtures.INDIRECT_CONFLICT, encoding="utf-8")
+    return str(path)
+
+
+def test_every_property_is_selectable():
+    assert set(PROPERTY_CHOICES) == {name.replace("_", "-") for name in PROPERTIES} | {"all"}
+
+
+def test_check_random_with_a_single_property(capsys):
+    assert main(["check", "--random", "--count", "3", "--property", "override-asym"]) == 0
+    out = capsys.readouterr().out
+    assert "properties: override_asym" in out
+    assert "override_asym: 3 checks" in out
+
+
+def test_bad_bound_value_is_a_clean_error(monkeypatch, capsys, program_file):
+    monkeypatch.setenv("PREFAS_MAX_RULES", "abc")
+    assert main(["solve", program_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prefas: ")
+    assert "PREFAS_MAX_RULES" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["transform"], ["check", "--property", "hierarchy"]],
+    ids=["solve", "transform", "check"],
+)
+def test_input_file_is_closed(argv, program_file):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "prefas.cli", argv[0], program_file, *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr

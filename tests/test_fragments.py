@@ -1,7 +1,14 @@
 import itertools
 
 import pytest
-from helpers import g_families, labelset, lits, literal_families, small_programs
+from helpers import (
+    g_families,
+    labelset,
+    lits,
+    literal_families,
+    small_programs,
+    subsets_in_mask_order,
+)
 from hypothesis import given, settings
 
 from prefas import fixtures
@@ -18,6 +25,7 @@ from prefas.fragments import (
     stable_fragment_sets,
 )
 from prefas.syntax import BoundExceededError, PrefProgram, close_preferences, parse_program
+from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
 RUN_PLAIN = PrefProgram(RUN.rules)
@@ -47,6 +55,13 @@ class TestFragments:
     def test_bound_is_enforced(self):
         with pytest.raises(BoundExceededError):
             fragments(RUN, Bounds(max_fragment_rules=2))
+
+    @pytest.mark.parametrize("n_rules,max_pos_body", [(8, 2), (10, 1), (12, 0), (12, 2)])
+    def test_matches_definition_over_every_subset(self, n_rules, max_pos_body):
+        for seed in range(3):
+            p = random_lpp(GenParams(seed=seed, n_rules=n_rules, max_pos_body=max_pos_body))
+            expected = [t for t in subsets_in_mask_order(p) if is_fragment(p, t)]
+            assert fragments(p) == expected
 
 
 class TestConflicting:
@@ -115,6 +130,15 @@ class TestStableFragmentSets:
     def test_empty_program(self):
         got = stable_fragment_sets(PrefProgram(()))
         assert [e.members for e in got] == [frozenset({frozenset()})]
+
+    def test_plain_reduct_fixes_each_one(self):
+        # a generating set defeats none of its own fragments and every
+        # fragment outside it, so stable_fragment_sets does not re-check this
+        for seed in range(40):
+            p = random_lpp(GenParams(seed=seed))
+            plain = PrefProgram(p.rules)
+            for e in stable_fragment_sets(p):
+                assert reduct_g(plain, e) == e
 
     def test_car_recommender_families(self):
         shared = {labelset(), labelset("r1"), labelset("r2"), labelset("r1", "r2")}
