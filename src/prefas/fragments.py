@@ -14,16 +14,19 @@ preferred stable fragment set when the preference-aware reduct does.  The
 consistent head sets of preferred stable fragment sets are the preferred
 answer sets.
 
-Stable fragment sets are exactly the families {T ⊆ R : minpos(T) = T} for
-generating sets R, and every preferred stable fragment set is stable, so
-the search here enumerates generating sets and runs the fixpoint test per
-candidate instead of searching all subsets of the fragment lattice.
+Stable fragment sets are exactly the families E = {T ⊆ R : minpos(T) = T}
+for generating sets R, and every preferred stable fragment set is stable,
+so the search enumerates generating sets instead of all subsets of the
+fragment lattice.  R defeats none of its own fragments, so the
+preference-aware reduct keeps every member of E; E is preferred exactly
+when the reduct removes every fragment outside R.  Only those fragments
+are tested, and the first one that survives rejects R.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .base import (
     AnswerSet,
@@ -172,6 +175,12 @@ class _FragmentSolver:
                 return False
         return True
 
+    def removed(self, x: int, e_masks: Sequence[int]) -> bool:
+        """Does some member of E defeat fragment x without x overriding it?"""
+        return any(
+            self.negor[x] & self.heads[y] and not self.overrides(x, y) for y in e_masks
+        )
+
     def survivors(self, e_masks: Sequence[int], use_prefs: bool) -> list[int]:
         out = []
         for x in self.frag_masks:
@@ -206,6 +215,19 @@ def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
     return FragmentSet.build(p, (solver.idx.labels_of(m) for m in kept))
 
 
+def _generating_families(
+    p: ProgramLike, solver: _FragmentSolver, bounds: Bounds
+) -> Iterator[tuple[int, list[int]]]:
+    """Each generating set R as a mask, with the fragments inside it."""
+    for r in generating_sets(p, bounds):
+        r_mask = solver.idx.mask_of(r)
+        yield r_mask, [f for f in solver.frag_masks if f & ~r_mask == 0]
+
+
+def _fragment_set(p: ProgramLike, solver: _FragmentSolver, masks: Sequence[int]) -> FragmentSet:
+    return FragmentSet.build(p, (solver.idx.labels_of(m) for m in masks))
+
+
 def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentSet]:
     """One stable fragment set per generating set: all fragments inside it.
 
@@ -215,29 +237,27 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     """
     bounds = bounds or Bounds.from_env()
     solver = _FragmentSolver(p, frozenset(), bounds)
-    idx = solver.idx
-    out = []
-    for r in generating_sets(p, bounds):
-        r_mask = idx.mask_of(r)
-        e_masks = [f for f in solver.frag_masks if f & ~r_mask == 0]
-        out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e_masks)))
-    return out
+    return [_fragment_set(p, solver, e) for _, e in _generating_families(p, solver, bounds)]
 
 
 def preferred_stable_fragment_sets(
     p: PrefProgram, bounds: Bounds | None = None
 ) -> list[FragmentSet]:
-    """Stable fragment sets fixed by the preference-aware reduct."""
+    """Stable fragment sets fixed by the preference-aware reduct.
+
+    For the fragments E inside a generating set R, the reduct keeps every
+    member of E, since R defeats none of them.  So E is kept when every
+    fragment outside R is defeated by some member of E that it does not
+    override.  Only the fragments outside R are tested, and the first one
+    that survives rejects R.  The tests check this against ``reduct_g``.
+    """
     bounds = bounds or Bounds.from_env()
     solver = _FragmentSolver(p, p.prefs, bounds)
-    idx = solver.idx
-    out = []
-    for r in generating_sets(p, bounds):
-        r_mask = idx.mask_of(r)
-        e_masks = [f for f in solver.frag_masks if f & ~r_mask == 0]
-        if solver.survivors(e_masks, use_prefs=True) == e_masks:
-            out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e_masks)))
-    return out
+    return [
+        _fragment_set(p, solver, e)
+        for r_mask, e in _generating_families(p, solver, bounds)
+        if all(solver.removed(x, e) for x in solver.frag_masks if x & ~r_mask)
+    ]
 
 
 def preferred_answer_sets_g(

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import fixtures
 from .base import Bounds, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
-from .fragments import fragments, overrides, preferred_answer_sets_g
+from .fragments import _FragmentSolver, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
@@ -194,12 +194,14 @@ def _check_transform_eq(p: PrefProgram, bounds: Bounds | None) -> Violation | No
 
 
 def _check_override_asym(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
-    frags = fragments(p, bounds)
+    solver = _FragmentSolver(p, p.prefs, bounds or Bounds.from_env())
+    frags = solver.frag_masks
     for i, x in enumerate(frags):
         for y in frags[i + 1 :]:
-            if overrides(p, x, y) and overrides(p, y, x):
+            if solver.overrides(x, y) and solver.overrides(y, x):
+                labels = solver.idx.labels_of
                 return Violation(
-                    "override_asym", p, {"x": sorted(x), "y": sorted(y)}
+                    "override_asym", p, {"x": sorted(labels(x)), "y": sorted(labels(y))}
                 )
     return None
 

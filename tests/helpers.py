@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import random
+
 from hypothesis import strategies as st
 
 from prefas.syntax import Literal, PrefProgram, Rule, close_preferences, parse_program
@@ -61,6 +63,36 @@ def small_programs(draw, max_rules=5, with_prefs=True):
             for j in range(i + 1, len(labels)):
                 if draw(st.booleans()):
                     pairs.append((labels[i], labels[j]))
+    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+
+
+def even_loops(k: int, seed: int, chain: bool = False) -> PrefProgram:
+    """``k`` even loops ``ai: ai :- not bi.  bi: bi :- not ai.`` with
+    preferences drawn from a seeded total order on the rules: one inside
+    most loops, in either direction, and up to three across loops.
+
+    With ``chain`` the rule ``c: c :- a0, not b<k-1>.`` is added; its
+    positive body makes some rule sets that contain it no fragment.
+    """
+    rng = random.Random(seed)
+    rules = []
+    for i in range(k):
+        rules.append(Rule(f"a{i}", lit(f"a{i}"), frozenset(), lits(f"b{i}")))
+        rules.append(Rule(f"b{i}", lit(f"b{i}"), frozenset(), lits(f"a{i}")))
+    if chain:
+        rules.append(Rule("c", lit("c"), lits("a0"), lits(f"b{k - 1}")))
+    labels = [r.label for r in rules]
+    rank = {label: i for i, label in enumerate(rng.sample(labels, len(labels)))}
+
+    def ordered(x, y):
+        return (x, y) if rank[x] < rank[y] else (y, x)
+
+    pairs = [ordered(f"a{i}", f"b{i}") for i in range(k) if rng.random() < 0.75]
+    # a<i> and b<i> share the loop index i; c is in no loop
+    across = [
+        (x, y) for x in labels for y in labels if x[1:] != y[1:] and rank[x] < rank[y]
+    ]
+    pairs += rng.sample(across, min(3, len(across)))
     return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -55,3 +56,17 @@ def test_input_file_is_closed(argv, program_file):
     )
     assert done.returncode == 0, done.stderr
     assert "ResourceWarning" not in done.stderr
+
+
+def test_g_on_six_even_loops(tmp_path, capsys):
+    # 12 rules, 64 generating sets and 4096 fragments: g stays fast only by
+    # testing the fragments outside each generating set and stopping at the
+    # first survivor
+    loops = [f"a{i}: a{i} :- not b{i}.\nb{i}: b{i} :- not a{i}." for i in range(6)]
+    prefs = [f"b{i} < a{i}." if i % 2 == 0 else f"a{i} < b{i}." for i in range(6)]
+    path = tmp_path / "loops.lpp"
+    path.write_text("\n".join(loops + prefs) + "\n", encoding="utf-8")
+    assert main(["solve", str(path), "--semantics", "g", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["answer_sets"]) == 64
+    assert out["preferred"] == [["a0", "a2", "a4", "b1", "b3", "b5"]]

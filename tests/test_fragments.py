@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from helpers import (
+    even_loops,
     g_families,
     labelset,
     lits,
@@ -15,6 +16,7 @@ from prefas import fixtures
 from prefas.base import Bounds, answer_sets, generating_sets, is_consistent, is_stratified
 from prefas.fragments import (
     FragmentSet,
+    _FragmentSolver,
     conflicting,
     fragments,
     is_fragment,
@@ -88,6 +90,14 @@ class TestOverrides:
 
     def test_never_self_override(self):
         assert not overrides(RUN, F6, F6)
+
+    def test_mask_level_matches_object_level(self):
+        for seed in range(40):
+            p = random_lpp(GenParams(seed=seed))
+            solver = _FragmentSolver(p, p.prefs, Bounds())
+            for x, y in itertools.product(solver.frag_masks, repeat=2):
+                expected = overrides(p, solver.idx.labels_of(x), solver.idx.labels_of(y))
+                assert solver.overrides(x, y) == expected
 
     def test_asymmetric_on_fixture(self):
         for x, y in itertools.permutations(fragments(RUN), 2):
@@ -255,6 +265,27 @@ class TestPreferredAnswerSetsG:
     def test_stratified_programs_keep_their_answer_sets(self, p):
         if is_stratified(p):
             assert g_families(preferred_answer_sets_g(p)) == literal_families(answer_sets(p))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pytest.param(even_loops(k, seed, chain), id=f"loops{k}-seed{seed}-chain{int(chain)}")
+            for k in range(2, 6)
+            for seed in (0, 1)
+            for chain in (False, True)
+        ]
+        + [
+            # random programs of this size rarely have two generating sets;
+            # these seeds do
+            pytest.param(random_lpp(GenParams(seed=seed, n_rules=n)), id=f"lpp{n}-seed{seed}")
+            for n, seed in [(8, 71), (8, 110), (10, 270), (10, 288), (12, 0), (12, 70), (12, 295)]
+        ],
+    )
+    def test_preferred_sets_match_the_lattice_reduct(self, p):
+        # the test of fragments outside R only, stopping at the first
+        # survivor, against reduct_g over the whole fragment lattice
+        expected = [e for e in stable_fragment_sets(p) if reduct_g(p, e) == e]
+        assert preferred_stable_fragment_sets(p) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(small_programs(max_rules=4))

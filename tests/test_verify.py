@@ -3,6 +3,7 @@ from helpers import lits
 
 from prefas import fixtures
 from prefas.base import is_stratified
+from prefas.fragments import _FragmentSolver
 from prefas.syntax import close_preferences
 from prefas.verify import (
     GenParams,
@@ -10,6 +11,7 @@ from prefas.verify import (
     check_monotonicity,
     check_principle_1,
     check_principle_23_fixtures,
+    check_program,
     check_strat_equivalence,
     fuzz,
     preferred_families,
@@ -84,6 +86,18 @@ class TestMonotonicity:
     def test_non_nested_prefs_are_rejected(self):
         with pytest.raises(ValueError):
             check_monotonicity(RUN.rules, {("r3", "r2")}, RUN.prefs)
+
+
+class TestOverrideAsym:
+    def test_fixture_is_clean(self):
+        assert check_program(RUN, ["override_asym"]) == []
+
+    def test_violation_names_both_fragments(self, monkeypatch):
+        # a broken override relation that holds both ways; the first pair in
+        # bitmask order is the empty fragment and {r2}
+        monkeypatch.setattr(_FragmentSolver, "overrides", lambda self, x, y: True)
+        [violation] = check_program(RUN, ["override_asym"])
+        assert violation.witness == {"x": [], "y": ["r2"]}
 
 
 class TestFixtureReport:
