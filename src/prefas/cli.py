@@ -124,6 +124,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     properties = _selected_properties(args.property)
     bounds = Bounds.from_env()
     if args.random:
+        if args.count < 0:
+            raise PrefasError(f"--count must be a non-negative integer, not {args.count}")
         report = fuzz(GenParams(seed=args.seed), args.count, properties, bounds)
         doc = report.to_dict()
         text = str(report)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr, is_consistent
+from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr
 from .gno import preferred_answer_sets_gno, trules
 from .syntax import RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule
 
@@ -69,8 +69,7 @@ def transform(p: PrefProgram) -> TransformedProgram:
     """Rewrite ``p`` into a plain program per the module description.
 
     The output always has 2|P| + sum over r of |{p : p not < r}| + sum over
-    r of |body-(r)| rules, which is quadratic in the input; this is checked
-    on every call.
+    r of |body-(r)| rules, which is quadratic in the input.
     """
     for atom in p.atoms:
         if atom.startswith(RESERVED_PREFIX):
@@ -112,19 +111,6 @@ def transform(p: PrefProgram) -> TransformedProgram:
     if len(set(generated)) != len(generated) or set(generated) & p.atoms:
         raise PrefasError("generated atom names collide; relabel the source rules")
 
-    expected = (
-        2 * len(p.rules)
-        + sum(
-            sum(1 for q in p.rules if not p.preferred_over(q.label, r.label))
-            for r in p.rules
-        )
-        + sum(len(r.neg_body) for r in p.rules)
-    )
-    if len(rules) != expected:
-        raise PrefasError(
-            f"transformed program has {len(rules)} rules, expected {expected}"
-        )
-
     return TransformedProgram(
         source=p,
         program=tuple(rules),
@@ -153,6 +139,11 @@ def embed(
     preferred = {a.literals for a in preferred_answer_sets_gno(p, bounds)}
     if s not in preferred:
         raise ValueError(f"{sorted(map(str, s))} is not a gno-preferred answer set")
+    return _embed(s, p, t)
+
+
+def _embed(s: frozenset[Literal], p: PrefProgram, t: TransformedProgram) -> frozenset[Literal]:
+    """``embed`` for an ``s`` the caller already knows to be gno-preferred."""
     r = gr(s, p)
     out = set(s)
     out.update(t.name_literal(label) for label in r)
@@ -165,33 +156,91 @@ def embed(
 def transformed_answer_sets(
     t: TransformedProgram, bounds: Bounds | None = None
 ) -> list[frozenset[Literal]]:
-    """Answer sets of the transformed program.
+    """Answer sets of the transformed program, ordered by their n_r part read
+    as a bitmask over source rule order.
 
     Source literals and shadows only appear as heads of rules whose bodies
     are driven by the n_r atoms, and inc can never be in an answer set, so
     every answer set is determined by its n_r part.  Candidates therefore
-    range over subsets of the name atoms, closed under forms 1 and 3; each
-    closure is then checked with the classic reduct-and-least-model test
-    against the full program.
+    range over the subsets of the name atoms, each closed under forms 1 and
+    3.  The program is compiled once into bitmasks, one bit per literal, and
+    the closures are computed on those.
+
+    Two tests drop a closure before the classic reduct-and-least-model test,
+    which stays the final word on every candidate that remains:
+
+      - some n_r is in it while its form-2 body does not hold in it, or the
+        other way round.  Form 2 is the only rule with head n_r, so an
+        answer set holds n_r exactly when that body holds in it.
+      - it is inconsistent, which no answer set is.
+
+    Neither test can drop an answer set, so the result equals running the
+    final test on every closure.  The route calls no enumeration kernel and
+    no preference semantics, and it does not restrict the guesses to known
+    generating sets: it is the independent side of ``check_correspondence``.
     """
     bounds = bounds or Bounds.from_env()
     src_rules = t.source.rules
-    _check_rule_bound(len(src_rules), bounds)
-    names = [t.name_literal(r.label) for r in src_rules]
-    positive_forms = [r for r in t.program if t.forms[r.label] in (1, 3)]
+    n = len(src_rules)
+    _check_rule_bound(n, bounds)
+    # the name atoms take bits 0..n-1 in source rule order, so that a guess
+    # over them is its own literal mask
+    bit = {t.name_literal(r.label): 1 << i for i, r in enumerate(src_rules)}
+    for r in t.program:
+        for x in (r.head, *r.pos_body, *r.neg_body):
+            bit.setdefault(x, 1 << len(bit))
+    literal_at = list(bit)
+
+    def mask(xs: Iterable[Literal]) -> int:
+        return sum(bit[x] for x in xs)
+
+    # every form-1 and form-3 body holds exactly one name atom; grouped by
+    # it, a guess visits only the rules it can fire
+    facts = [0] * n  # heads of the rules whose body is n_r alone
+    needs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (head, rest of body)
+    for r in t.program:
+        if t.forms[r.label] in (1, 3):
+            body = mask(r.pos_body)
+            i = (body & ((1 << n) - 1)).bit_length() - 1
+            body &= ~(1 << i)
+            if body:
+                needs[i].append((bit[r.head], body))
+            else:
+                facts[i] |= bit[r.head]
+    form2 = {
+        r.head: (mask(r.pos_body), mask(r.neg_body))
+        for r in t.program
+        if t.forms[r.label] == 2
+    }
+    blocking = list(enumerate(form2[t.name_literal(r.label)] for r in src_rules))
+    clashes = [bit[x] | bit[x.complement] for x in bit if x.positive and x.complement in bit]
+
     out = []
-    for mask in range(1 << len(names)):
-        chosen = {names[i] for i in range(len(names)) if mask >> i & 1}
-        model = set(chosen)
-        changed = True
-        while changed:
-            changed = False
-            for r in positive_forms:
-                if r.head not in model and r.pos_body <= model:
-                    model.add(r.head)
-                    changed = True
-        cand = frozenset(model)
-        if is_consistent(cand) and gl_is_answer_set(t.program, cand):
+    for guess in range(1 << n):
+        model = guess
+        pending: list[tuple[int, int]] = []
+        for i in range(n):
+            if guess >> i & 1:
+                model |= facts[i]
+                pending += needs[i]
+        while pending:
+            waiting = []
+            for head, body in pending:
+                if body & ~model:
+                    waiting.append((head, body))
+                else:
+                    model |= head
+            if len(waiting) == len(pending):
+                break
+            pending = waiting
+        supported = 0
+        for i, (pos, neg) in blocking:
+            if not pos & ~model and not neg & model:
+                supported |= 1 << i
+        if supported != guess or any(model & c == c for c in clashes):
+            continue
+        cand = frozenset(literal_at[j] for j in range(model.bit_length()) if model >> j & 1)
+        if gl_is_answer_set(t.program, cand):
             out.append(cand)
     return out
 
@@ -223,7 +272,7 @@ def check_correspondence(p: PrefProgram, bounds: Bounds | None = None) -> Corres
     extra = tuple(s for s in projected if s not in preferred)
     mismatches = []
     for a, s in zip(transformed, projected):
-        if s in preferred and embed(s, p, t, bounds) != a:
+        if s in preferred and _embed(s, p, t) != a:
             mismatches.append((s, a))
     return CorrespondenceReport(
         ok=not missing and not extra and not mismatches,

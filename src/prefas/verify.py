@@ -5,6 +5,8 @@ carries the program and a witness payload from which the finding can be
 re-checked independently.  ``fuzz`` drives the checks over a deterministic
 stream of random programs (one derived seed per program) and also counts
 the programs that witness the strict inclusions between the semantics.
+The checks on one program share one dict of the families that
+``preferred_families`` solves, so each of those is solved once per program.
 """
 
 from __future__ import annotations
@@ -24,14 +26,40 @@ from .transform import check_correspondence
 SEMANTICS = ("d", "g", "gno")
 
 
-def preferred_families(p: PrefProgram, semantics: str, bounds: Bounds | None = None):
-    if semantics == "d":
-        return {a.literals for a in preferred_answer_sets_d(p, bounds)}
-    if semantics == "g":
-        return {a.literals for a, _ in preferred_answer_sets_g(p, bounds)}
-    if semantics == "gno":
-        return {a.literals for a in preferred_answer_sets_gno(p, bounds)}
-    raise ValueError(f"unknown semantics {semantics!r}")
+Families = dict[tuple[PrefProgram, str], frozenset[frozenset[Literal]]]
+
+
+def preferred_families(
+    p: PrefProgram,
+    semantics: str,
+    bounds: Bounds | None = None,
+    families: Families | None = None,
+) -> frozenset[frozenset[Literal]]:
+    """The literal sets of ``p`` under ``semantics``: one of ``SEMANTICS``,
+    or ``"as"`` for the plain answer sets.
+
+    ``families`` is a dict that the checks on one program share, keyed by
+    (program, semantics): a family found there is returned, and one that is
+    computed is stored there.  ``fuzz`` makes a new dict for each program it
+    draws and ``check_program`` one for each call, so each family is solved
+    once per program and nothing is kept from one program to the next.
+    """
+    key = (p, semantics)
+    if families is not None and key in families:
+        return families[key]
+    if semantics == "as":
+        found = frozenset(a.literals for a in answer_sets(p, bounds))
+    elif semantics == "d":
+        found = frozenset(a.literals for a in preferred_answer_sets_d(p, bounds))
+    elif semantics == "g":
+        found = frozenset(a.literals for a, _ in preferred_answer_sets_g(p, bounds))
+    elif semantics == "gno":
+        found = frozenset(a.literals for a in preferred_answer_sets_gno(p, bounds))
+    else:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    if families is not None:
+        families[key] = found
+    return found
 
 
 @dataclass(frozen=True)
@@ -48,30 +76,36 @@ class Violation:
         return head + f": {self.witness}\n{format_program(self.program)}"
 
 
+def _sorted_literals(s: Iterable[Literal]) -> list[str]:
+    return sorted(map(str, s))
+
+
 def _sorted_family(family) -> list[list[str]]:
-    return sorted(sorted(map(str, s)) for s in family)
+    return sorted(_sorted_literals(s) for s in family)
 
 
 def check_principle_1(
-    p: PrefProgram, semantics: str, bounds: Bounds | None = None
+    p: PrefProgram,
+    semantics: str,
+    bounds: Bounds | None = None,
+    families: Families | None = None,
 ) -> list[Violation]:
     """If two answer sets' applicable rules differ by exactly one rule each
     and one of the two is preferred, the set built with the less preferred
     one must not be a preferred answer set."""
-    preferred = preferred_families(p, semantics, bounds)
-    asets = answer_sets(p, bounds)
+    preferred = preferred_families(p, semantics, bounds, families)
+    asets = sorted(preferred_families(p, "as", bounds, families), key=_sorted_literals)
+    applicable = [gr(s, p) for s in asets]
     out = []
-    for s1 in asets:
-        for s2 in asets:
-            if s1.literals == s2.literals:
+    for s1, g1 in zip(asets, applicable):
+        for s2, g2 in zip(asets, applicable):
+            if s1 == s2:
                 continue
-            g1 = gr(s1.literals, p)
-            g2 = gr(s2.literals, p)
             only1, only2 = g1 - g2, g2 - g1
             if len(only1) != 1 or len(only2) != 1:
                 continue
             (r1,), (r2,) = only1, only2
-            if p.preferred_over(r2, r1) and s2.literals in preferred:
+            if p.preferred_over(r2, r1) and s2 in preferred:
                 out.append(
                     Violation(
                         "principle1",
@@ -80,16 +114,18 @@ def check_principle_1(
                             "semantics": semantics,
                             "winner_rule": r1,
                             "loser_rule": r2,
-                            "excluded_set": sorted(map(str, s2.literals)),
+                            "excluded_set": _sorted_literals(s2),
                         },
                     )
                 )
     return out
 
 
-def check_hierarchy(p: PrefProgram, bounds: Bounds | None = None) -> list[Violation]:
+def check_hierarchy(
+    p: PrefProgram, bounds: Bounds | None = None, families: Families | None = None
+) -> list[Violation]:
     """gno-preferred sets must be g-preferred, and g-preferred sets d-preferred."""
-    fam = {s: preferred_families(p, s, bounds) for s in SEMANTICS}
+    fam = {s: preferred_families(p, s, bounds, families) for s in SEMANTICS}
     out = []
     for lower, upper in (("gno", "g"), ("g", "d")):
         if not fam[lower] <= fam[upper]:
@@ -107,12 +143,14 @@ def check_hierarchy(p: PrefProgram, bounds: Bounds | None = None) -> list[Violat
     return out
 
 
-def check_strat_equivalence(p: PrefProgram, bounds: Bounds | None = None) -> Violation | None:
+def check_strat_equivalence(
+    p: PrefProgram, bounds: Bounds | None = None, families: Families | None = None
+) -> Violation | None:
     """On stratified programs the g semantics must ignore all preferences."""
     if not is_stratified(p):
         return None
-    expected = {a.literals for a in answer_sets(p, bounds)}
-    got = preferred_families(p, "g", bounds)
+    expected = preferred_families(p, "as", bounds, families)
+    got = preferred_families(p, "g", bounds, families)
     if got != expected:
         return Violation(
             "strat_eq",
@@ -127,6 +165,7 @@ def check_monotonicity(
     prefs1: Iterable[tuple[str, str]],
     prefs2: Iterable[tuple[str, str]],
     bounds: Bounds | None = None,
+    families: Families | None = None,
 ) -> Violation | None:
     """Growing the preference relation may only shrink the preferred sets."""
     rules = rules.rules if isinstance(rules, PrefProgram) else tuple(rules)
@@ -136,8 +175,8 @@ def check_monotonicity(
     p1 = PrefProgram(rules, prefs1)
     p2 = PrefProgram(rules, prefs2)
     for semantics in ("g", "gno"):
-        strong = preferred_families(p2, semantics, bounds)
-        weak = preferred_families(p1, semantics, bounds)
+        strong = preferred_families(p2, semantics, bounds, families)
+        weak = preferred_families(p1, semantics, bounds, families)
         if not strong <= weak:
             return Violation(
                 "monotonicity",
@@ -151,11 +190,13 @@ def check_monotonicity(
     return None
 
 
-def _check_empty_pref(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
+def _check_empty_pref(
+    p: PrefProgram, bounds: Bounds | None, families: Families
+) -> Violation | None:
     plain = PrefProgram(p.rules)
-    expected = {a.literals for a in answer_sets(plain, bounds)}
+    expected = preferred_families(plain, "as", bounds, families)
     for semantics in SEMANTICS:
-        got = preferred_families(plain, semantics, bounds)
+        got = preferred_families(plain, semantics, bounds, families)
         if got != expected:
             return Violation(
                 "empty_pref",
@@ -165,10 +206,12 @@ def _check_empty_pref(p: PrefProgram, bounds: Bounds | None) -> Violation | None
     return None
 
 
-def _check_pas_subset_as(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
-    expected = {a.literals for a in answer_sets(p, bounds)}
+def _check_pas_subset_as(
+    p: PrefProgram, bounds: Bounds | None, families: Families
+) -> Violation | None:
+    expected = preferred_families(p, "as", bounds, families)
     for semantics in SEMANTICS:
-        got = preferred_families(p, semantics, bounds)
+        got = preferred_families(p, semantics, bounds, families)
         if not got <= expected:
             return Violation(
                 "pas_subset_as",
@@ -206,41 +249,49 @@ def _check_override_asym(p: PrefProgram, bounds: Bounds | None) -> Violation | N
     return None
 
 
-# Each property runs as check(program, bounds, draw).  ``draw`` holds the
-# generator parameters when ``fuzz`` produced the program and is None for a
-# given program; strat_eq and monotonicity derive their inputs from it.
+# Each property runs as check(program, bounds, draw, families).  ``draw``
+# holds the generator parameters when ``fuzz`` produced the program and is
+# None for a given program; strat_eq and monotonicity derive their inputs
+# from it.  ``families`` is the dict of ``preferred_families`` that all
+# checks on the program share.
 
 
-def _principle1(p: PrefProgram, bounds: Bounds | None, draw: GenParams | None) -> list[Violation]:
-    return [v for semantics in SEMANTICS for v in check_principle_1(p, semantics, bounds)]
+def _principle1(
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> list[Violation]:
+    return [
+        v for semantics in SEMANTICS for v in check_principle_1(p, semantics, bounds, families)
+    ]
 
 
-def _strat_eq(p: PrefProgram, bounds: Bounds | None, draw: GenParams | None) -> Violation | None:
+def _strat_eq(
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> Violation | None:
     if draw is not None:
         p = random_lpp(replace(draw, stratified=True))
-    return check_strat_equivalence(p, bounds)
+    return check_strat_equivalence(p, bounds, families)
 
 
 def _monotonicity(
-    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
 ) -> Violation | None:
     weaker = frozenset()
     if draw is not None:
         rng = random.Random(f"{draw.seed}/aux")
         sub = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
         weaker = close_preferences(sub, [r.label for r in p.rules])
-    return check_monotonicity(p.rules, weaker, p.prefs, bounds)
+    return check_monotonicity(p.rules, weaker, p.prefs, bounds, families)
 
 
 _CHECKS = {
     "principle1": _principle1,
-    "hierarchy": lambda p, bounds, draw: check_hierarchy(p, bounds),
+    "hierarchy": lambda p, bounds, draw, families: check_hierarchy(p, bounds, families),
     "strat_eq": _strat_eq,
-    "empty_pref": lambda p, bounds, draw: _check_empty_pref(p, bounds),
+    "empty_pref": lambda p, bounds, draw, families: _check_empty_pref(p, bounds, families),
     "monotonicity": _monotonicity,
-    "transform_eq": lambda p, bounds, draw: _check_transform_eq(p, bounds),
-    "override_asym": lambda p, bounds, draw: _check_override_asym(p, bounds),
-    "pas_subset_as": lambda p, bounds, draw: _check_pas_subset_as(p, bounds),
+    "transform_eq": lambda p, bounds, draw, families: _check_transform_eq(p, bounds),
+    "override_asym": lambda p, bounds, draw, families: _check_override_asym(p, bounds),
+    "pas_subset_as": lambda p, bounds, draw, families: _check_pas_subset_as(p, bounds, families),
 }
 
 PROPERTIES = tuple(_CHECKS)
@@ -255,9 +306,13 @@ def _selected(properties: tuple[str, ...]) -> list[str]:
 
 
 def _run_check(
-    name: str, p: PrefProgram, bounds: Bounds | None, draw: GenParams | None
+    name: str,
+    p: PrefProgram,
+    bounds: Bounds | None,
+    draw: GenParams | None,
+    families: Families,
 ) -> list[Violation]:
-    found = _CHECKS[name](p, bounds, draw)
+    found = _CHECKS[name](p, bounds, draw, families)
     if found is None:
         return []
     return found if isinstance(found, list) else [found]
@@ -406,12 +461,13 @@ def fuzz(
         seed = params.seed + i
         draw = replace(params, seed=seed)
         p = random_lpp(draw)
+        families: Families = {}
         for name in selected:
             report.checked[name] = report.checked.get(name, 0) + 1
-            found = _run_check(name, p, bounds, draw)
+            found = _run_check(name, p, bounds, draw, families)
             report.violations.extend(replace(v, seed=seed) for v in found)
         if "hierarchy" in selected:
-            fam = {s: preferred_families(p, s, bounds) for s in SEMANTICS}
+            fam = {s: preferred_families(p, s, bounds, families) for s in SEMANTICS}
             if fam["gno"] < fam["g"]:
                 report.strict_g_over_gno += 1
             if fam["g"] < fam["d"]:
@@ -429,7 +485,12 @@ def check_program(
     Monotonicity is checked against the empty relation, and stratified
     equivalence is vacuous when the program is not stratified.
     """
-    return [v for name in _selected(tuple(properties)) for v in _run_check(name, p, bounds, None)]
+    families: Families = {}
+    return [
+        v
+        for name in _selected(tuple(properties))
+        for v in _run_check(name, p, bounds, None, families)
+    ]
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
+from prefas.base import gl_is_answer_set, is_consistent
 from prefas.syntax import Literal, PrefProgram, Rule, close_preferences, parse_program
 
 
@@ -27,6 +28,29 @@ def subsets_in_mask_order(p):
         frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
         for mask in range(1 << len(labels))
     ]
+
+
+def transformed_answer_sets_by_literals(t):
+    """Oracle for ``transform.transformed_answer_sets``: the same guesses
+    over the name atoms, each closed under forms 1 and 3 over ``Literal``
+    sets and kept when the classic reduct-and-least-model test accepts it,
+    with no prefilter."""
+    names = [t.name_literal(r.label) for r in t.source.rules]
+    positive_forms = [r for r in t.program if t.forms[r.label] in (1, 3)]
+    out = []
+    for mask in range(1 << len(names)):
+        model = {names[i] for i in range(len(names)) if mask >> i & 1}
+        changed = True
+        while changed:
+            changed = False
+            for r in positive_forms:
+                if r.head not in model and r.pos_body <= model:
+                    model.add(r.head)
+                    changed = True
+        cand = frozenset(model)
+        if is_consistent(cand) and gl_is_answer_set(t.program, cand):
+            out.append(cand)
+    return out
 
 
 def literal_families(answers):

@@ -32,6 +32,14 @@ def test_check_random_with_a_single_property(capsys):
     assert "override_asym: 3 checks" in out
 
 
+def test_negative_count_is_a_clean_error(capsys):
+    assert main(["check", "--random", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("prefas: ") and "--count" in line and "-3" in line
+
+
 def test_bad_bound_value_is_a_clean_error(monkeypatch, capsys, program_file):
     monkeypatch.setenv("PREFAS_MAX_RULES", "abc")
     assert main(["solve", program_file]) == 2

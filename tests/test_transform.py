@@ -1,8 +1,10 @@
 import pytest
-from helpers import lits, literal_families, small_programs
+from helpers import lits, literal_families, small_programs, transformed_answer_sets_by_literals
 from hypothesis import given, settings
 
-from prefas import fixtures
+import prefas.kernels
+from prefas import base, fixtures, gno
+from prefas import transform as transform_module
 from prefas.base import Bounds, answer_sets
 from prefas.gno import preferred_answer_sets_gno
 from prefas.syntax import Literal, PrefasError, PrefProgram, parse_program
@@ -14,6 +16,7 @@ from prefas.transform import (
     transform,
     transformed_answer_sets,
 )
+from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
 BE = fixtures.load("brewka_eiter")
@@ -107,6 +110,48 @@ class TestSolving:
                         assert not r.neg_body & a
 
 
+def _mismatched_programs(programs):
+    """The programs whose transformed answer sets differ, as lists, between
+    the bitmask route and the literal-set oracle."""
+    out = []
+    for p in programs:
+        t = transform(p)
+        if transformed_answer_sets(t) != transformed_answer_sets_by_literals(t):
+            out.append(p)
+    return out
+
+
+class TestBitmaskRouteMatchesOracle:
+    def test_default_random_programs(self):
+        programs = [random_lpp(GenParams(seed=seed)) for seed in range(200)]
+        assert _mismatched_programs(programs) == []
+
+    def test_ten_rule_random_programs(self):
+        programs = [random_lpp(GenParams(seed=seed, n_rules=10)) for seed in range(30)]
+        assert _mismatched_programs(programs) == []
+
+    @pytest.mark.parametrize("name", sorted(fixtures.SOURCES))
+    def test_fixture(self, name):
+        assert _mismatched_programs([fixtures.load(name)]) == []
+
+    def test_uses_no_fast_path(self, monkeypatch):
+        # the route is the oracle for gno: it must not reach the enumeration
+        # kernels, the gno semantics or the generating-set enumeration
+        transformed = [transform(fixtures.load(name)) for name in sorted(fixtures.SOURCES)]
+        expected = [transformed_answer_sets_by_literals(t) for t in transformed]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the transform route called a fast path")
+
+        for name in ("enum_fixpoints", "enum_closed", "minpos"):
+            monkeypatch.setattr(prefas.kernels, name, refuse)
+        for module in (gno, transform_module):
+            monkeypatch.setattr(module, "preferred_answer_sets_gno", refuse)
+        monkeypatch.setattr(base, "generating_sets", refuse)
+        monkeypatch.setattr(base, "answer_sets", refuse)
+        assert [transformed_answer_sets(t) for t in transformed] == expected
+
+
 class TestProjectEmbed:
     def test_project_keeps_source_literals_only(self):
         t = transform(RUN)
@@ -159,3 +204,16 @@ class TestCorrespondence:
     @given(small_programs())
     def test_random_programs(self, p):
         assert check_correspondence(p).ok
+
+    def test_gno_is_solved_once(self, monkeypatch):
+        car = fixtures.load("car_recommender")
+        calls = []
+
+        def counted(p, bounds=None):
+            calls.append(p)
+            return preferred_answer_sets_gno(p, bounds)
+
+        monkeypatch.setattr(transform_module, "preferred_answer_sets_gno", counted)
+        rep = check_correspondence(car)
+        assert rep.ok and rep.preferred
+        assert calls == [car]

@@ -1,8 +1,10 @@
-import pytest
-from helpers import lits
+from collections import Counter
 
-from prefas import fixtures
-from prefas.base import is_stratified
+import pytest
+from helpers import literal_families, lits
+
+from prefas import fixtures, verify
+from prefas.base import answer_sets, is_stratified
 from prefas.fragments import _FragmentSolver
 from prefas.syntax import close_preferences
 from prefas.verify import (
@@ -46,7 +48,9 @@ class TestPrinciple1:
 
         real = verify.preferred_families
         try:
-            verify.preferred_families = lambda p, s, b=None: {a.literals for a in verify.answer_sets(p, b)}
+            verify.preferred_families = lambda p, s, b=None, families=None: {
+                a.literals for a in verify.answer_sets(p, b)
+            }
             found = check_principle_1(pair, "d")
         finally:
             verify.preferred_families = real
@@ -154,3 +158,48 @@ class TestFuzz:
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
             fuzz(GenParams(seed=0), 1, properties=("nope",))
+
+    def test_each_family_is_solved_once_per_program(self, monkeypatch):
+        # the drawn program, its stratified redraw, its preference-free copy
+        # and its weaker-preference copy: 174 (semantics, program) pairs,
+        # each solved once per run, and again by a second run
+        calls = Counter()
+        for semantics in ("d", "g", "gno"):
+            name = f"preferred_answer_sets_{semantics}"
+
+            def counted(p, bounds=None, _real=getattr(verify, name), _semantics=semantics):
+                calls[(_semantics, p)] += 1
+                return _real(p, bounds)
+
+            monkeypatch.setattr(verify, name, counted)
+        assert fuzz(GenParams(seed=0), 20).ok
+        assert len(calls) == 174
+        assert set(calls.values()) == {1}
+        fuzz(GenParams(seed=0), 20)
+        assert set(calls.values()) == {2}
+
+    def test_a_broken_g_is_still_caught(self, monkeypatch):
+        monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
+        report = fuzz(GenParams(seed=0), 20)
+        assert {"hierarchy", "empty_pref", "strat_eq"} <= {v.kind for v in report.violations}
+
+    def test_ten_rule_programs_are_clean(self):
+        assert fuzz(GenParams(seed=500, n_rules=10, n_atoms=7), 10).ok
+
+
+class TestFamilies:
+    def test_answer_sets_are_a_family(self):
+        assert preferred_families(RUN, "as") == literal_families(answer_sets(RUN))
+
+    def test_a_family_in_the_dict_is_returned(self):
+        families = {}
+        first = preferred_families(RUN, "g", None, families)
+        assert families == {(RUN, "g"): first}
+        families[(RUN, "g")] = frozenset()
+        assert preferred_families(RUN, "g", None, families) == frozenset()
+
+    def test_check_program_keeps_nothing_between_calls(self, monkeypatch):
+        assert check_program(RUN, ["hierarchy"]) == []
+        monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
+        [violation] = check_program(RUN, ["hierarchy"])
+        assert violation.witness["lower"] == "gno"
