@@ -18,18 +18,21 @@ remaining negative bodies, take the least model) and is kept deliberately
 simple and separate from the enumeration kernels so the two routes check
 each other.
 
-Generating sets are enumerated by :func:`prefas.kernels.enum_fixpoints`,
-which guesses the head literals a candidate derives among those occurring
-in some negative body rather than scanning every rule subset.  Results come
-in bitmask order over source rule order, and :class:`Bounds` caps the
-program size.
+Every table derived from the rules alone lives on one ``_Index`` per rule
+tuple, kept in a small lru cache: the bitmask tables, the generating sets
+(found by :func:`prefas.kernels.enum_fixpoints`) and the fragment lattice
+(found by :func:`prefas.kernels.enum_closed`), each built on first use.
+The preference semantics filter these tables with the one preference table
+of ``_less_masks`` and end in the shared dedup step of
+``_answer_sets_from_masks``.  Results come in bitmask order over source
+rule order, and :class:`Bounds` caps the program size on every call.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import kernels
@@ -155,7 +158,11 @@ def is_generating(p: ProgramLike, r_labels: Iterable[str]) -> bool:
 
 @dataclass(frozen=True)
 class _Index:
-    """Bitmask tables for one program, shared by the enumeration routines."""
+    """Bitmask tables for one rule tuple, shared by every semantics.
+
+    ``generating`` and ``fragments`` are computed on first use and then kept
+    with the index, so each rule tuple is scanned at most once for each.
+    """
 
     rules: tuple[Rule, ...]
     n: int
@@ -175,11 +182,12 @@ class _Index:
     def labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(self.labels[i] for i in range(self.n) if mask >> i & 1)
 
-    def head_lits_of(self, mask: int) -> int:
+    def or_of(self, mask: int, table: Sequence[int]) -> int:
+        """The union of ``table[i]`` over the rules i in ``mask``."""
         bits = 0
         for i in range(self.n):
             if mask >> i & 1:
-                bits |= self.head_bits[i]
+                bits |= table[i]
         return bits
 
     def literals_of_head_bits(self, bits: int) -> frozenset[Literal]:
@@ -190,8 +198,28 @@ class _Index:
     def minpos_mask(self, members: int) -> int:
         return kernels.minpos(members, self.head_bits, self.pos_masks, self.pos_ok)
 
+    @cached_property
+    def generating(self) -> tuple[int, ...]:
+        """The generating sets as masks, ascending."""
+        return tuple(kernels.enum_fixpoints(
+            self.n, self.head_bits, self.pos_masks, self.pos_ok, self.defeater_masks
+        ))
 
-@lru_cache(maxsize=256)
+    @cached_property
+    def fragments(self) -> dict[int, tuple[int, int]]:
+        """Each fragment as a mask, ascending, mapped to its head literals
+        and to the literals in its members' negative bodies; a fragment is
+        defeated by head literals H iff the second meets H.  Shared by
+        every caller, so read only."""
+        return {
+            f: (self.or_of(f, self.head_bits), self.or_of(f, self.neg_hmasks))
+            for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks, self.pos_ok)
+        }
+
+
+# Small: an index keeps its fragment lattice, up to 2^n masks.  A fuzz step
+# uses two rule tuples, the drawn one and its stratified redraw.
+@lru_cache(maxsize=4)
 def _index(rules: tuple[Rule, ...]) -> _Index:
     n = len(rules)
     head_lits: list[Literal] = []
@@ -235,23 +263,35 @@ def _check_rule_bound(n: int, bounds: Bounds) -> None:
         )
 
 
-def _fixpoint_subsets(idx: _Index, remover: Sequence[int]) -> list[int]:
-    return kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, remover)
+def _compiled(p: ProgramLike, bounds: Bounds | None) -> _Index:
+    """The index of ``p``'s rules, once they pass ``max_rules``."""
+    bounds = bounds or Bounds.from_env()
+    idx = _index(rules_of(p))
+    _check_rule_bound(idx.n, bounds)
+    return idx
+
+
+def _less_masks(p: PrefProgram) -> list[int]:
+    """less[i]: the rules that rule i is preferred over; all 0 without
+    preferences."""
+    return [
+        sum(1 << j for j, other in enumerate(p.rules) if (other.label, r.label) in p.prefs)
+        for r in p.rules
+    ]
 
 
 def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
     """All generating sets, in bitmask order over source rule order."""
-    bounds = bounds or Bounds.from_env()
-    idx = _index(rules_of(p))
-    _check_rule_bound(idx.n, bounds)
-    return [idx.labels_of(m) for m in _fixpoint_subsets(idx, idx.defeater_masks)]
+    idx = _compiled(p, bounds)
+    return [idx.labels_of(m) for m in idx.generating]
 
 
 def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet]:
+    """The consistent head sets of ``masks``, each kept at its first mask."""
     out: list[AnswerSet] = []
     seen: set[frozenset[Literal]] = set()
     for m in masks:
-        lits = idx.literals_of_head_bits(idx.head_lits_of(m))
+        lits = idx.literals_of_head_bits(idx.or_of(m, idx.head_bits))
         if not is_consistent(lits) or lits in seen:
             continue
         seen.add(lits)
@@ -262,10 +302,8 @@ def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet
 def answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[AnswerSet]:
     """Answer sets of the plain program: heads of generating sets that are
     consistent, deduplicated by literal set."""
-    bounds = bounds or Bounds.from_env()
-    idx = _index(rules_of(p))
-    _check_rule_bound(idx.n, bounds)
-    return _answer_sets_from_masks(idx, _fixpoint_subsets(idx, idx.defeater_masks))
+    idx = _compiled(p, bounds)
+    return _answer_sets_from_masks(idx, idx.generating)
 
 
 def gl_least_model(rules: Iterable[Rule]) -> frozenset[Literal]:

@@ -34,8 +34,11 @@ def _sorted_sets(families: Iterable[frozenset[Literal]]) -> list[frozenset[Liter
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise PrefasError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
 def _solve_document(path: str, semantics: str, bounds: Bounds) -> dict:
@@ -123,6 +126,8 @@ def _selected_properties(name: str) -> tuple[str, ...]:
 def _cmd_check(args: argparse.Namespace) -> int:
     properties = _selected_properties(args.property)
     bounds = Bounds.from_env()
+    if args.random and args.file:
+        raise PrefasError("give a program file or --random, not both")
     if args.random:
         if args.count < 0:
             raise PrefasError(f"--count must be a non-negative integer, not {args.count}")

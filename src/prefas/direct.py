@@ -13,17 +13,10 @@ fragment semantics (``g``) and the ``gno`` semantics refine.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .base import (
-    AnswerSet,
-    Bounds,
-    _answer_sets_from_masks,
-    _check_rule_bound,
-    _fixpoint_subsets,
-    _index,
-    rules_of,
-)
+from . import kernels
+from .base import AnswerSet, Bounds, _answer_sets_from_masks, _compiled, _Index, _less_masks
 from .syntax import PrefProgram, Rule
 
 
@@ -36,19 +29,24 @@ def directly_overrides(r1: Rule, r2: Rule, prefs: Iterable[tuple[str, str]]) -> 
     return directly_conflicting(r1, r2) and (r2.label, r1.label) in set(prefs)
 
 
-def _remover_masks(p: PrefProgram) -> list[int]:
-    # remover[i] = rules j that defeat i and are not directly overridden by i
-    idx = _index(p.rules)
-    masks = []
-    for i, target in enumerate(idx.rules):
-        m = 0
-        for j, attacker in enumerate(idx.rules):
-            if attacker.head in target.neg_body and not directly_overrides(
-                target, attacker, p.prefs
-            ):
-                m |= 1 << j
-        masks.append(m)
-    return masks
+def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, Sequence[int]]:
+    """The preferred generating sets as masks, ascending.
+
+    Rule i is removed by each defeater j that it does not directly
+    override: one it does not defeat back, or is not preferred over.  When
+    no rule overrides one of its defeaters, the table is ``defeater_masks``
+    and the result is the generating sets the index already holds.
+    """
+    idx = _compiled(p, bounds)
+    less = _less_masks(p)
+    d = idx.defeater_masks
+    remover = tuple(
+        d[i] & ~(less[i] & sum(1 << j for j in range(idx.n) if d[j] >> i & 1))
+        for i in range(idx.n)
+    )
+    if remover == d:
+        return idx, idx.generating
+    return idx, kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, remover)
 
 
 def reduct_d(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:
@@ -69,14 +67,9 @@ def preferred_generating_sets_d(
     p: PrefProgram, bounds: Bounds | None = None
 ) -> list[frozenset[str]]:
     """All rule sets R with R = minpos(reduct_d(p, R)), over every subset."""
-    bounds = bounds or Bounds.from_env()
-    idx = _index(p.rules)
-    _check_rule_bound(idx.n, bounds)
-    return [idx.labels_of(m) for m in _fixpoint_subsets(idx, _remover_masks(p))]
+    idx, masks = _preferred_masks(p, bounds)
+    return [idx.labels_of(m) for m in masks]
 
 
 def preferred_answer_sets_d(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:
-    bounds = bounds or Bounds.from_env()
-    idx = _index(p.rules)
-    _check_rule_bound(idx.n, bounds)
-    return _answer_sets_from_masks(idx, _fixpoint_subsets(idx, _remover_masks(p)))
+    return _answer_sets_from_masks(*_preferred_masks(p, bounds))

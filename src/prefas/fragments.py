@@ -21,24 +21,30 @@ fragment lattice.  R defeats none of its own fragments, so the
 preference-aware reduct keeps every member of E; E is preferred exactly
 when the reduct removes every fragment outside R.  Only those fragments
 are tested, and the first one that survives rejects R.
+
+The fragment lattice, with each fragment's head and negative-body masks,
+depends on the rules alone, so it lives on the program's shared index and
+is built at most once per rule tuple; only the preference table
+``less`` differs between programs with the same rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .base import (
     AnswerSet,
     Bounds,
     _index,
+    _Index,
+    _less_masks,
     generating_sets,
     is_consistent,
     minpos,
     rules_of,
 )
 from .syntax import BoundExceededError, Literal, PrefProgram, Rule
-from . import kernels
 
 ProgramLike = Union[PrefProgram, Sequence[Rule]]
 
@@ -66,24 +72,22 @@ class FragmentSet:
         return len(self.members)
 
 
-def _check_fragment_bound(n: int, bounds: Bounds) -> None:
-    if n > bounds.max_fragment_rules:
+def _lattice_index(p: ProgramLike, bounds: Bounds | None) -> _Index:
+    """The index of ``p``'s rules, once they pass ``max_fragment_rules``."""
+    bounds = bounds or Bounds.from_env()
+    idx = _index(rules_of(p))
+    if idx.n > bounds.max_fragment_rules:
         raise BoundExceededError(
-            f"program has {n} rules; fragment enumeration is bounded at "
+            f"program has {idx.n} rules; fragment enumeration is bounded at "
             f"{bounds.max_fragment_rules} (PREFAS_MAX_FRAGMENT_RULES)"
         )
-
-
-def _fragment_masks(idx) -> list[int]:
-    return kernels.enum_closed(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok)
+    return idx
 
 
 def fragments(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
     """All fragments of the program, ascending by bitmask over rule order."""
-    bounds = bounds or Bounds.from_env()
-    idx = _index(rules_of(p))
-    _check_fragment_bound(idx.n, bounds)
-    return [idx.labels_of(m) for m in _fragment_masks(idx)]
+    idx = _lattice_index(p, bounds)
+    return [idx.labels_of(m) for m in idx.fragments]
 
 
 def is_fragment(p: ProgramLike, labels: Iterable[str]) -> bool:
@@ -124,75 +128,38 @@ def overrides(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
     return True
 
 
-class _FragmentSolver:
-    """Mask-level reduct machinery shared by the stable and preferred tests."""
+def _defeated_rules(idx: _Index, frag: int, by_heads: int) -> int:
+    out = 0
+    for i in range(idx.n):
+        if frag >> i & 1 and idx.neg_hmasks[i] & by_heads:
+            out |= 1 << i
+    return out
 
-    def __init__(self, p: ProgramLike, prefs: frozenset[tuple[str, str]], bounds: Bounds):
-        self.idx = _index(rules_of(p))
-        _check_fragment_bound(self.idx.n, bounds)
-        self.frag_masks = _fragment_masks(self.idx)
-        self.heads = {f: self.idx.head_lits_of(f) for f in self.frag_masks}
-        # union of the members' negative-body literal masks: a fragment is
-        # defeated by head literals H iff this intersects H
-        self.negor = {
-            f: self._or_members(f, self.idx.neg_hmasks) for f in self.frag_masks
-        }
-        self.less = [
-            sum(
-                1 << j
-                for j, other in enumerate(self.idx.rules)
-                if (other.label, r.label) in prefs
-            )
-            for r in self.idx.rules
-        ]
 
-    def _or_members(self, mask: int, table) -> int:
-        bits = 0
-        for i in range(self.idx.n):
-            if mask >> i & 1:
-                bits |= table[i]
-        return bits
-
-    def _defeated_rules(self, frag: int, by_heads: int) -> int:
-        out = 0
-        for i in range(self.idx.n):
-            if frag >> i & 1 and self.idx.neg_hmasks[i] & by_heads:
-                out |= 1 << i
-        return out
-
-    def overrides(self, x: int, y: int) -> bool:
-        hx, hy = self.heads[x], self.heads[y]
-        dx = self._defeated_rules(x, hy)
-        dy = self._defeated_rules(y, hx)
-        if dx == 0 or dy == 0:  # not conflicting
+def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
+    """``overrides`` on fragment masks, with ``less`` from ``_less_masks``."""
+    hx, hy = idx.fragments[x][0], idx.fragments[y][0]
+    dx = _defeated_rules(idx, x, hy)
+    dy = _defeated_rules(idx, y, hx)
+    if dx == 0 or dy == 0:  # not conflicting
+        return False
+    rest = dx
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        rest ^= low
+        if dy & less[i] == 0:
             return False
-        rest = dx
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            rest ^= low
-            if dy & self.less[i] == 0:
-                return False
-        return True
+    return True
 
-    def removed(self, x: int, e_masks: Sequence[int]) -> bool:
-        """Does some member of E defeat fragment x without x overriding it?"""
-        return any(
-            self.negor[x] & self.heads[y] and not self.overrides(x, y) for y in e_masks
-        )
 
-    def survivors(self, e_masks: Sequence[int], use_prefs: bool) -> list[int]:
-        out = []
-        for x in self.frag_masks:
-            removed = False
-            for y in e_masks:
-                if self.negor[x] & self.heads[y]:
-                    if not (use_prefs and self.overrides(x, y)):
-                        removed = True
-                        break
-            if not removed:
-                out.append(x)
-        return out
+def _removed(idx: _Index, less: Sequence[int], x: int, e_masks: Sequence[int]) -> bool:
+    """Does some member of E defeat fragment x without x overriding it?"""
+    frags = idx.fragments
+    negor = frags[x][1]
+    return any(
+        negor & frags[y][0] and not _mask_overrides(idx, less, x, y) for y in e_masks
+    )
 
 
 def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
@@ -202,30 +169,35 @@ def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
     With empty preferences no fragment ever overrides another, so this is
     also the plain reduct that defines stable fragment sets.
     """
-    bounds = bounds or Bounds.from_env()
     members = e.members if isinstance(e, FragmentSet) else frozenset(map(frozenset, e))
-    solver = _FragmentSolver(p, p.prefs, bounds)
+    idx = _lattice_index(p, bounds)
     e_masks = []
     for m in members:
-        mask = solver.idx.mask_of(m)
-        if mask not in solver.heads:
+        mask = idx.mask_of(m)
+        if mask not in idx.fragments:
             raise ValueError(f"{sorted(m)} is not a fragment of the program")
         e_masks.append(mask)
-    kept = solver.survivors(e_masks, use_prefs=bool(p.prefs))
-    return FragmentSet.build(p, (solver.idx.labels_of(m) for m in kept))
+    less = _less_masks(p)
+    kept = [x for x in idx.fragments if not _removed(idx, less, x, e_masks)]
+    return FragmentSet.build(p, (idx.labels_of(m) for m in kept))
 
 
-def _generating_families(
-    p: ProgramLike, solver: _FragmentSolver, bounds: Bounds
-) -> Iterator[tuple[int, list[int]]]:
-    """Each generating set R as a mask, with the fragments inside it."""
+def _stable_sets(
+    p: ProgramLike, bounds: Bounds | None, less: Sequence[int] | None
+) -> list[FragmentSet]:
+    """The fragments inside each generating set R, kept when ``less`` is
+    None or when every fragment outside R is removed under ``less``."""
+    bounds = bounds or Bounds.from_env()
+    idx = _lattice_index(p, bounds)
+    out = []
     for r in generating_sets(p, bounds):
-        r_mask = solver.idx.mask_of(r)
-        yield r_mask, [f for f in solver.frag_masks if f & ~r_mask == 0]
-
-
-def _fragment_set(p: ProgramLike, solver: _FragmentSolver, masks: Sequence[int]) -> FragmentSet:
-    return FragmentSet.build(p, (solver.idx.labels_of(m) for m in masks))
+        r_mask = idx.mask_of(r)
+        e = [f for f in idx.fragments if f & ~r_mask == 0]
+        if less is None or all(
+            _removed(idx, less, x, e) for x in idx.fragments if x & ~r_mask
+        ):
+            out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e)))
+    return out
 
 
 def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentSet]:
@@ -235,9 +207,7 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     outside R, so the preference-free reduct returns exactly the fragments
     inside R; the tests check this against ``reduct_g``.
     """
-    bounds = bounds or Bounds.from_env()
-    solver = _FragmentSolver(p, frozenset(), bounds)
-    return [_fragment_set(p, solver, e) for _, e in _generating_families(p, solver, bounds)]
+    return _stable_sets(p, bounds, None)
 
 
 def preferred_stable_fragment_sets(
@@ -251,13 +221,7 @@ def preferred_stable_fragment_sets(
     override.  Only the fragments outside R are tested, and the first one
     that survives rejects R.  The tests check this against ``reduct_g``.
     """
-    bounds = bounds or Bounds.from_env()
-    solver = _FragmentSolver(p, p.prefs, bounds)
-    return [
-        _fragment_set(p, solver, e)
-        for r_mask, e in _generating_families(p, solver, bounds)
-        if all(solver.removed(x, e) for x in solver.frag_masks if x & ~r_mask)
-    ]
+    return _stable_sets(p, bounds, _less_masks(p))
 
 
 def preferred_answer_sets_g(

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from . import fixtures
-from .base import Bounds, answer_sets, gr, is_stratified
+from .base import Bounds, _less_masks, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
-from .fragments import _FragmentSolver, preferred_answer_sets_g
+from .fragments import _lattice_index, _mask_overrides, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
@@ -237,14 +237,16 @@ def _check_transform_eq(p: PrefProgram, bounds: Bounds | None) -> Violation | No
 
 
 def _check_override_asym(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
-    solver = _FragmentSolver(p, p.prefs, bounds or Bounds.from_env())
-    frags = solver.frag_masks
+    idx = _lattice_index(p, bounds)
+    less = _less_masks(p)
+    frags = list(idx.fragments)
     for i, x in enumerate(frags):
         for y in frags[i + 1 :]:
-            if solver.overrides(x, y) and solver.overrides(y, x):
-                labels = solver.idx.labels_of
+            if _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x):
                 return Violation(
-                    "override_asym", p, {"x": sorted(labels(x)), "y": sorted(labels(y))}
+                    "override_asym",
+                    p,
+                    {"x": sorted(idx.labels_of(x)), "y": sorted(idx.labels_of(y))},
                 )
     return None
 

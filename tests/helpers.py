@@ -4,7 +4,8 @@ import random
 
 from hypothesis import strategies as st
 
-from prefas.base import gl_is_answer_set, is_consistent
+from prefas.base import gl_is_answer_set, is_consistent, minpos
+from prefas.gno import reduct_gno
 from prefas.syntax import Literal, PrefProgram, Rule, close_preferences, parse_program
 
 
@@ -28,6 +29,13 @@ def subsets_in_mask_order(p):
         frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
         for mask in range(1 << len(labels))
     ]
+
+
+def gno_fixpoint_subsets(p):
+    """Every rule set R with minpos(reduct_gno(p, R)) == R, generating or
+    not, in mask order: the fixpoints ``gno`` would find without its
+    restriction to generating sets."""
+    return [r for r in subsets_in_mask_order(p) if minpos(reduct_gno(p, r)) == r]
 
 
 def transformed_answer_sets_by_literals(t):

@@ -40,6 +40,24 @@ def test_negative_count_is_a_clean_error(capsys):
     assert line.startswith("prefas: ") and "--count" in line and "-3" in line
 
 
+@pytest.mark.parametrize("command", ["solve", "transform", "check"])
+def test_non_utf8_file_is_a_clean_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.lpp"
+    path.write_bytes(b"r1: a.\n\xff\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("prefas: ") and str(path) in line and "UTF-8" in line
+
+
+def test_file_and_random_together_is_a_clean_error(capsys, program_file):
+    assert main(["check", program_file, "--random", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "prefas: give a program file or --random, not both\n"
+
+
 def test_bad_bound_value_is_a_clean_error(monkeypatch, capsys, program_file):
     monkeypatch.setenv("PREFAS_MAX_RULES", "abc")
     assert main(["solve", program_file]) == 2

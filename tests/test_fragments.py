@@ -13,10 +13,11 @@ from helpers import (
 from hypothesis import given, settings
 
 from prefas import fixtures
-from prefas.base import Bounds, answer_sets, generating_sets, is_consistent, is_stratified
+from prefas.base import Bounds, _less_masks, answer_sets, generating_sets, is_consistent, is_stratified
 from prefas.fragments import (
     FragmentSet,
-    _FragmentSolver,
+    _lattice_index,
+    _mask_overrides,
     conflicting,
     fragments,
     is_fragment,
@@ -94,10 +95,11 @@ class TestOverrides:
     def test_mask_level_matches_object_level(self):
         for seed in range(40):
             p = random_lpp(GenParams(seed=seed))
-            solver = _FragmentSolver(p, p.prefs, Bounds())
-            for x, y in itertools.product(solver.frag_masks, repeat=2):
-                expected = overrides(p, solver.idx.labels_of(x), solver.idx.labels_of(y))
-                assert solver.overrides(x, y) == expected
+            idx = _lattice_index(p, Bounds())
+            less = _less_masks(p)
+            for x, y in itertools.product(idx.fragments, repeat=2):
+                expected = overrides(p, idx.labels_of(x), idx.labels_of(y))
+                assert _mask_overrides(idx, less, x, y) == expected
 
     def test_asymmetric_on_fixture(self):
         for x, y in itertools.permutations(fragments(RUN), 2):

@@ -1,10 +1,9 @@
-from helpers import lits, literal_families, small_programs
+from helpers import gno_fixpoint_subsets, lits, literal_families, small_programs
 from hypothesis import given, settings
 
 from prefas import fixtures
 from prefas.base import answer_sets, is_stratified
 from prefas.gno import (
-    gno_fixpoint_subsets,
     preferred_answer_sets_gno,
     preferred_generating_sets_gno,
     reduct_gno,

@@ -1,0 +1,80 @@
+"""The tables that depend on the rules alone are built once per rule set
+and shared by every semantics, and the bounds still hold once they exist."""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+
+from prefas import base, fixtures, kernels, verify
+from prefas.base import Bounds, answer_sets, generating_sets
+from prefas.direct import preferred_answer_sets_d
+from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
+from prefas.gno import preferred_answer_sets_gno
+from prefas.syntax import BoundExceededError
+from prefas.verify import GenParams, fuzz
+
+RUN = fixtures.load("indirect_conflict")
+
+
+@pytest.mark.parametrize(
+    "solve, bound",
+    [
+        (answer_sets, "max_rules"),
+        (generating_sets, "max_rules"),
+        (preferred_answer_sets_d, "max_rules"),
+        (preferred_answer_sets_gno, "max_rules"),
+        (preferred_answer_sets_g, "max_rules"),
+        (preferred_answer_sets_g, "max_fragment_rules"),
+        (fragments, "max_fragment_rules"),
+        (lambda p, bounds: reduct_g(p, [], bounds), "max_fragment_rules"),
+    ],
+    ids=["as", "generating", "d", "gno", "g-rules", "g-fragments", "fragments", "reduct_g"],
+)
+def test_bounds_hold_after_the_tables_are_built(solve, bound):
+    solve(RUN, Bounds())
+    with pytest.raises(BoundExceededError):
+        solve(RUN, replace(Bounds(), **{bound: len(RUN.rules) - 1}))
+
+
+def test_each_rule_set_is_scanned_once(monkeypatch):
+    """Over a fuzz run, every drawn rule set has its fragment lattice and its
+    generating sets scanned at most once, whatever semantics and checks
+    read them."""
+    base._index.cache_clear()
+    drawn = set()
+    closed = Counter()
+    fixpoints = Counter()
+    real_draw, real_closed, real_fixpoints = (
+        verify.random_lpp, kernels.enum_closed, kernels.enum_fixpoints
+    )
+
+    def draw(params):
+        p = real_draw(params)
+        drawn.add(p.rules)
+        return p
+
+    def enum_closed(n, head_bits, pos_masks, pos_ok):
+        closed[tuple(head_bits), tuple(pos_masks), tuple(pos_ok)] += 1
+        return real_closed(n, head_bits, pos_masks, pos_ok)
+
+    def enum_fixpoints(n, head_bits, pos_masks, pos_ok, remover):
+        fixpoints[tuple(head_bits), tuple(pos_masks), tuple(pos_ok), tuple(remover)] += 1
+        return real_fixpoints(n, head_bits, pos_masks, pos_ok, remover)
+
+    monkeypatch.setattr(verify, "random_lpp", draw)
+    monkeypatch.setattr(kernels, "enum_closed", enum_closed)
+    monkeypatch.setattr(kernels, "enum_fixpoints", enum_fixpoints)
+    fuzz(GenParams(seed=0), 20)
+
+    # rule sets with equal tables cannot be told apart by the kernel calls
+    lattices = Counter()
+    generating = Counter()
+    for rules in drawn:
+        idx = base._index.__wrapped__(rules)
+        tables = (idx.head_bits, idx.pos_masks, idx.pos_ok)
+        lattices[tables] += 1
+        generating[(*tables, idx.defeater_masks)] += 1
+    assert closed and set(closed) <= set(lattices)
+    assert all(calls <= lattices[tables] for tables, calls in closed.items())
+    assert all(fixpoints[tables] <= count for tables, count in generating.items())

@@ -5,7 +5,6 @@ from helpers import literal_families, lits
 
 from prefas import fixtures, verify
 from prefas.base import answer_sets, is_stratified
-from prefas.fragments import _FragmentSolver
 from prefas.syntax import close_preferences
 from prefas.verify import (
     GenParams,
@@ -99,7 +98,7 @@ class TestOverrideAsym:
     def test_violation_names_both_fragments(self, monkeypatch):
         # a broken override relation that holds both ways; the first pair in
         # bitmask order is the empty fragment and {r2}
-        monkeypatch.setattr(_FragmentSolver, "overrides", lambda self, x, y: True)
+        monkeypatch.setattr(verify, "_mask_overrides", lambda idx, less, x, y: True)
         [violation] = check_program(RUN, ["override_asym"])
         assert violation.witness == {"x": [], "y": ["r2"]}
 
