@@ -206,13 +206,17 @@ class _Index:
         ))
 
     @cached_property
-    def fragments(self) -> dict[int, tuple[int, int]]:
-        """Each fragment as a mask, ascending, mapped to its head literals
-        and to the literals in its members' negative bodies; a fragment is
-        defeated by head literals H iff the second meets H.  Shared by
+    def fragments(self) -> dict[int, int]:
+        """Each fragment as a mask, ascending, mapped to A(f), the rules
+        that f defeats: fragment Y defeats X iff ``fragments[Y] & X``, and
+        ``X & fragments[Y]`` are the rules of X that Y defeats.  Shared by
         every caller, so read only."""
+        defeats = [
+            sum(1 << i for i in range(self.n) if self.defeater_masks[i] >> j & 1)
+            for j in range(self.n)
+        ]
         return {
-            f: (self.or_of(f, self.head_bits), self.or_of(f, self.neg_hmasks))
+            f: self.or_of(f, defeats)
             for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks, self.pos_ok)
         }
 

@@ -17,15 +17,26 @@ answer sets.
 Stable fragment sets are exactly the families E = {T ⊆ R : minpos(T) = T}
 for generating sets R, and every preferred stable fragment set is stable,
 so the search enumerates generating sets instead of all subsets of the
-fragment lattice.  R defeats none of its own fragments, so the
+fragment lattice.  Write A(S) for the rules that a rule set S defeats.  A
+generating set R defeats none of its members, R ∩ A(R) = ∅, so the
 preference-aware reduct keeps every member of E; E is preferred exactly
-when the reduct removes every fragment outside R.  Only those fragments
-are tested, and the first one that survives rejects R.
+when the reduct removes every fragment outside R.  R itself defeats each
+of those, so E is tried with R first.
 
-The fragment lattice, with each fragment's head and negative-body masks,
-depends on the rules alone, so it lives on the program's shared index and
-is built at most once per rule tuple; only the preference table
-``less`` differs between programs with the same rules.
+For Y ⊆ R, A(Y) ⊆ A(R), so for every fragment X
+
+  X ∩ A(Y) = (X∖R) ∩ A(Y)    the rules of X that Y defeats
+  Y ∩ A(X) = Y ∩ A(X∖R)      the rules of Y that X defeats
+
+and whether E removes X depends only on its outside part D = X∖R.
+Fragments are closed under union, so D is the outside part of some
+fragment exactly when D ∪ R is a fragment.  One fragment, D ∪ R, is tested
+for each such D, and the first one that survives rejects R.
+
+The fragment lattice, with A(f) for each fragment f, depends on the rules
+alone, so it lives on the program's shared index and is built at most once
+per rule tuple; only the preference table ``less`` differs between
+programs with the same rules.
 """
 
 from __future__ import annotations
@@ -128,19 +139,10 @@ def overrides(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
     return True
 
 
-def _defeated_rules(idx: _Index, frag: int, by_heads: int) -> int:
-    out = 0
-    for i in range(idx.n):
-        if frag >> i & 1 and idx.neg_hmasks[i] & by_heads:
-            out |= 1 << i
-    return out
-
-
 def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
     """``overrides`` on fragment masks, with ``less`` from ``_less_masks``."""
-    hx, hy = idx.fragments[x][0], idx.fragments[y][0]
-    dx = _defeated_rules(idx, x, hy)
-    dy = _defeated_rules(idx, y, hx)
+    dx = x & idx.fragments[y]  # rules of x that y defeats
+    dy = y & idx.fragments[x]
     if dx == 0 or dy == 0:  # not conflicting
         return False
     rest = dx
@@ -156,9 +158,8 @@ def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
 def _removed(idx: _Index, less: Sequence[int], x: int, e_masks: Sequence[int]) -> bool:
     """Does some member of E defeat fragment x without x overriding it?"""
     frags = idx.fragments
-    negor = frags[x][1]
     return any(
-        negor & frags[y][0] and not _mask_overrides(idx, less, x, y) for y in e_masks
+        frags[y] & x and not _mask_overrides(idx, less, x, y) for y in e_masks
     )
 
 
@@ -182,19 +183,41 @@ def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
     return FragmentSet.build(p, (idx.labels_of(m) for m in kept))
 
 
+def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
+    """The fragments f with low ⊆ f ⊆ high, ascending.  They are looked up
+    among the submasks of high minus low when those are fewer than the
+    fragments, and scanned for otherwise."""
+    free = high & ~low
+    if 1 << free.bit_count() >= len(frags):
+        return [f for f in frags if f & low == low and f & ~high == 0]
+    out = []
+    sub = 0
+    while True:  # the submasks of free, ascending
+        if (sub | low) in frags:
+            out.append(sub | low)
+        if sub == free:
+            return out
+        sub = (sub - free) & free
+
+
 def _stable_sets(
     p: ProgramLike, bounds: Bounds | None, less: Sequence[int] | None
 ) -> list[FragmentSet]:
     """The fragments inside each generating set R, kept when ``less`` is
-    None or when every fragment outside R is removed under ``less``."""
+    None or when every fragment outside R is removed under ``less``; the
+    module description says why one fragment D | R per outside part D is
+    enough."""
     bounds = bounds or Bounds.from_env()
     idx = _lattice_index(p, bounds)
+    everything = (1 << idx.n) - 1
     out = []
-    for r in generating_sets(p, bounds):
-        r_mask = idx.mask_of(r)
-        e = [f for f in idx.fragments if f & ~r_mask == 0]
+    for labels in generating_sets(p, bounds):
+        r = idx.mask_of(labels)
+        frags = idx.fragments  # built only when some generating set needs it
+        e = _fragments_between(frags, 0, r)[::-1]  # descending: R first
         if less is None or all(
-            _removed(idx, less, x, e) for x in idx.fragments if x & ~r_mask
+            _removed(idx, less, x, e)
+            for x in _fragments_between(frags, r, everything)[1:]  # R itself is first
         ):
             out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e)))
     return out
@@ -216,10 +239,13 @@ def preferred_stable_fragment_sets(
     """Stable fragment sets fixed by the preference-aware reduct.
 
     For the fragments E inside a generating set R, the reduct keeps every
-    member of E, since R defeats none of them.  So E is kept when every
-    fragment outside R is defeated by some member of E that it does not
-    override.  Only the fragments outside R are tested, and the first one
-    that survives rejects R.  The tests check this against ``reduct_g``.
+    member of E, since R ∩ A(R) = ∅: R defeats none of its own rules.  So
+    E is kept when every fragment outside R is defeated by some member of
+    E that it does not override.  That outcome depends only on the
+    fragment's outside part D, because R ∩ A(R) = ∅ makes the rules each
+    side defeats in the other depend only on D.  So one fragment is tested
+    per distinct D, and the first one that survives rejects R.  The tests
+    check this against ``reduct_g``.
     """
     return _stable_sets(p, bounds, _less_masks(p))
 

@@ -2,9 +2,12 @@
 
 There is one implementation, in ``python``, and every semantics searches
 through it.  ``enum_fixpoints`` finds the rule sets that are fixpoints of a
-reduct by guessing which removal columns a set hits instead of scanning all
-2^n rule subsets.  ``enum_closed`` scans the rule subsets for the
-self-supporting ones, and ``minpos`` computes one least fixpoint.
+reduct by deciding which removal columns a set hits.  It propagates before
+it branches: a partial decision bounds every completion between two least
+fixpoints, which reject the branch or decide more columns, and it branches
+on one column only when nothing more follows (the alternating fixpoint of
+Van Gelder, PODS 1989).  ``enum_closed`` scans all 2^n rule subsets for
+the self-supporting ones, and ``minpos`` computes one least fixpoint.
 """
 
 from . import python as _active

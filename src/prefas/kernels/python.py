@@ -54,32 +54,67 @@ def enum_fixpoints(
 
     The kept set depends only on which columns of ``remover`` R hits, where
     column j is the set of rules that rule j removes.  Rules with equal
-    columns are grouped, and the search guesses one bit per group with a
-    non-zero column: the guess fixes the kept set, hence R = minpos(kept),
-    and R is a solution exactly when it hits the guessed groups and no
-    others.  Each solution has one such guess, so nothing is found twice.
+    columns are grouped.  A guess G of the groups R hits fixes the kept set,
+    hence R_G = minpos(all minus the columns of G), and R_G is a solution
+    exactly when it hits the groups of G and no others.
+
+    The search keeps a partial guess: groups decided hit (H), decided not
+    hit (N) and undecided (U).  minpos is monotone, so every completion
+    G of H has R_G between rmin = minpos(all minus cols(H and U)) and
+    rmax = minpos(all minus cols(H)).  A branch is rejected when rmin hits
+    a group in N or rmax misses one in H.  Undecided groups that rmin hits
+    move to H, those that rmax misses move to N, and this repeats until
+    nothing changes; only then does the search branch on one undecided
+    group.  With U empty, rmin == rmax is a solution.  This is the
+    alternating-fixpoint approximation of Van Gelder (PODS 1989).  The two
+    branches split the guesses, so nothing is found twice.
     """
-    groups: dict[int, int] = {}  # non-zero column -> rules having it
+    groups: dict[int, int] = {}  # non-zero column -> its group's index
+    group_of = [0] * n  # rule -> bit of its group, 0 for a zero column
     for j in range(n):
         column = sum(1 << i for i in range(n) if remover[i] >> j & 1)
         if column:
-            groups[column] = groups.get(column, 0) | 1 << j
+            group_of[j] = 1 << groups.setdefault(column, len(groups))
     removes = list(groups)
-    members = list(groups.values())
+    every_group = (1 << len(removes)) - 1
     everything = (1 << n) - 1
-    out = []
-    for guess in range(1 << len(removes)):
+
+    def least(removed_groups: int) -> tuple[int, int]:
+        """minpos with the columns of these groups removed, and the groups
+        that result hits."""
         removed = 0
         for b, column in enumerate(removes):
-            if guess >> b & 1:
+            if removed_groups >> b & 1:
                 removed |= column
         r = minpos(everything & ~removed, head_bits, pos_masks, pos_ok)
-        hit = 0
-        for b, rules in enumerate(members):
-            if r & rules:
-                hit |= 1 << b
-        if hit == guess:
-            out.append(r)
+        hits = 0
+        for j in range(n):
+            if r >> j & 1:
+                hits |= group_of[j]
+        return r, hits
+
+    out = []
+    stack = [(0, 0)]  # (groups decided hit, groups decided not hit)
+    while stack:
+        hit, missed = stack.pop()
+        rmin, low = least(every_group & ~missed)
+        high = least(hit)[1]
+        while not (low & missed or hit & ~high):  # else no completion is a solution
+            grown_hit, grown_missed = hit | low, missed | every_group & ~high
+            if grown_hit == hit and grown_missed == missed:
+                undecided = every_group & ~hit & ~missed
+                if not undecided:
+                    out.append(rmin)
+                else:
+                    g = undecided & -undecided
+                    stack.append((hit, missed | g))
+                    stack.append((hit | g, missed))
+                break
+            if grown_missed != missed:
+                rmin, low = least(every_group & ~grown_missed)
+            if grown_hit != hit:
+                high = least(grown_hit)[1]
+            hit, missed = grown_hit, grown_missed
     out.sort()
     return out
 

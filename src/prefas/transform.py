@@ -31,7 +31,7 @@ so the output prints in the ordinary grammar and re-parses with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr
 from .gno import preferred_answer_sets_gno, trules
@@ -258,16 +258,25 @@ class CorrespondenceReport:
     embed_mismatches: tuple[tuple[frozenset[Literal], frozenset[Literal]], ...]
 
 
-def check_correspondence(p: PrefProgram, bounds: Bounds | None = None) -> CorrespondenceReport:
+def check_correspondence(
+    p: PrefProgram,
+    bounds: Bounds | None = None,
+    preferred: Collection[frozenset[Literal]] | None = None,
+) -> CorrespondenceReport:
     """Solve ``p`` through the gno semantics and through the transformation
     and compare: projections must match the preferred answer sets as
     families, and every answer set of the transformed program must equal
-    the embedding of its projection."""
+    the embedding of its projection.
+
+    ``preferred`` is the gno-preferred family of ``p`` when the caller has
+    already solved it; without it the gno semantics is solved here.
+    """
     bounds = bounds or Bounds.from_env()
     t = transform(p)
     transformed = transformed_answer_sets(t, bounds)
     projected = [project(a, t) for a in transformed]
-    preferred = [a.literals for a in preferred_answer_sets_gno(p, bounds)]
+    if preferred is None:
+        preferred = [a.literals for a in preferred_answer_sets_gno(p, bounds)]
     missing = tuple(s for s in preferred if s not in projected)
     extra = tuple(s for s in projected if s not in preferred)
     mismatches = []

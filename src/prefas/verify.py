@@ -221,8 +221,10 @@ def _check_pas_subset_as(
     return None
 
 
-def _check_transform_eq(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
-    report = check_correspondence(p, bounds)
+def _check_transform_eq(
+    p: PrefProgram, bounds: Bounds | None, families: Families
+) -> Violation | None:
+    report = check_correspondence(p, bounds, preferred_families(p, "gno", bounds, families))
     if report.ok:
         return None
     return Violation(
@@ -291,7 +293,7 @@ _CHECKS = {
     "strat_eq": _strat_eq,
     "empty_pref": lambda p, bounds, draw, families: _check_empty_pref(p, bounds, families),
     "monotonicity": _monotonicity,
-    "transform_eq": lambda p, bounds, draw, families: _check_transform_eq(p, bounds),
+    "transform_eq": lambda p, bounds, draw, families: _check_transform_eq(p, bounds, families),
     "override_asym": lambda p, bounds, draw, families: _check_override_asym(p, bounds),
     "pas_subset_as": lambda p, bounds, draw, families: _check_pas_subset_as(p, bounds, families),
 }

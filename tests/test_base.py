@@ -2,6 +2,7 @@ import pytest
 from helpers import (
     FACT_CHAIN,
     MUTUAL_DEFAULTS,
+    even_loops,
     lit,
     lits,
     literal_families,
@@ -10,10 +11,11 @@ from helpers import (
 )
 from hypothesis import given, settings
 
-from prefas import fixtures
+from prefas import fixtures, kernels
 from prefas.base import (
     AnswerSet,
     Bounds,
+    _index,
     answer_sets,
     defeats,
     generating_sets,
@@ -26,7 +28,8 @@ from prefas.base import (
     minpos,
     reduct,
 )
-from prefas.direct import preferred_generating_sets_d, reduct_d
+from prefas.direct import directly_overrides, preferred_generating_sets_d, reduct_d
+from prefas.kernels import python as kernel_python
 from prefas.syntax import BoundExceededError, PrefasError, PrefProgram, Rule, parse_program
 from prefas.verify import GenParams, random_lpp
 
@@ -152,6 +155,42 @@ class TestEnumerationMatchesDefinition:
         p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
         assert preferred_generating_sets_d(p) == expected
+
+    @pytest.mark.parametrize(
+        "n_rules,seed", [(10, 6), (10, 87), (12, 0), (12, 18), (12, 54), (12, 70)]
+    )
+    def test_preferred_generating_sets_d_with_overrides(self, n_rules, seed):
+        # some rule directly overrides one of its defeaters, so the search
+        # runs on a remover table other than defeater_masks
+        p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
+        assert any(directly_overrides(r1, r2, p.prefs) for r1 in p.rules for r2 in p.rules)
+        expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
+        assert preferred_generating_sets_d(p) == expected
+
+    @pytest.mark.parametrize("n_rules", [16, 18, 20])
+    def test_answer_sets_match_the_classic_oracle(self, n_rules):
+        for seed in range(10):
+            p = random_lpp(GenParams(seed=seed, n_rules=n_rules, n_atoms=8))
+            assert literal_families(answer_sets(p)) == set(gl_answer_sets(p))
+
+    def test_search_grows_with_its_output(self, monkeypatch):
+        # 8 independent even loops: 256 generating sets among 2^16 guesses
+        # of the remover columns a set hits
+        calls = 0
+        real = kernel_python.minpos
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernel_python, "minpos", counted)
+        idx = _index(even_loops(8, 0).rules)
+        found = kernels.enum_fixpoints(
+            idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, idx.defeater_masks
+        )
+        assert len(found) == 256
+        assert calls < 8 * 256
 
 
 class TestBoundsFromEnv:

@@ -84,15 +84,28 @@ def test_input_file_is_closed(argv, program_file):
     assert "ResourceWarning" not in done.stderr
 
 
+def _solve_g_on_even_loops(k, tmp_path, capsys):
+    loops = [f"a{i}: a{i} :- not b{i}.\nb{i}: b{i} :- not a{i}." for i in range(k)]
+    prefs = [f"b{i} < a{i}." if i % 2 == 0 else f"a{i} < b{i}." for i in range(k)]
+    path = tmp_path / "loops.lpp"
+    path.write_text("\n".join(loops + prefs) + "\n", encoding="utf-8")
+    assert main(["solve", str(path), "--semantics", "g", "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 def test_g_on_six_even_loops(tmp_path, capsys):
     # 12 rules, 64 generating sets and 4096 fragments: g stays fast only by
     # testing the fragments outside each generating set and stopping at the
     # first survivor
-    loops = [f"a{i}: a{i} :- not b{i}.\nb{i}: b{i} :- not a{i}." for i in range(6)]
-    prefs = [f"b{i} < a{i}." if i % 2 == 0 else f"a{i} < b{i}." for i in range(6)]
-    path = tmp_path / "loops.lpp"
-    path.write_text("\n".join(loops + prefs) + "\n", encoding="utf-8")
-    assert main(["solve", str(path), "--semantics", "g", "--json"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _solve_g_on_even_loops(6, tmp_path, capsys)
     assert len(out["answer_sets"]) == 64
     assert out["preferred"] == [["a0", "a2", "a4", "b1", "b3", "b5"]]
+
+
+def test_g_on_seven_even_loops(tmp_path, capsys, monkeypatch):
+    # 14 rules, the default fragment bound: 128 generating sets and 16384
+    # fragments, of which each generating set tests one per outside part
+    monkeypatch.delenv("PREFAS_MAX_FRAGMENT_RULES", raising=False)
+    out = _solve_g_on_even_loops(7, tmp_path, capsys)
+    assert len(out["answer_sets"]) == 128
+    assert out["preferred"] == [["a0", "a2", "a4", "a6", "b1", "b3", "b5"]]

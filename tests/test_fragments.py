@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from helpers import (
@@ -13,6 +14,7 @@ from helpers import (
 from hypothesis import given, settings
 
 from prefas import fixtures
+from prefas import fragments as fragments_module
 from prefas.base import Bounds, _less_masks, answer_sets, generating_sets, is_consistent, is_stratified
 from prefas.fragments import (
     FragmentSet,
@@ -288,6 +290,23 @@ class TestPreferredAnswerSetsG:
         # survivor, against reduct_g over the whole fragment lattice
         expected = [e for e in stable_fragment_sets(p) if reduct_g(p, e) == e]
         assert preferred_stable_fragment_sets(p) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_outside_part_is_tested_once(self, monkeypatch, seed):
+        # whether E removes a fragment X outside R depends only on X minus R
+        tested = Counter()
+        real = fragments_module._removed
+
+        def removed(idx, less, x, e_masks):
+            r = max(e_masks)  # R is the largest fragment inside R
+            tested[r, x & ~r] += 1
+            return real(idx, less, x, e_masks)
+
+        monkeypatch.setattr(fragments_module, "_removed", removed)
+        p = even_loops(5, seed)
+        preferred_stable_fragment_sets(p)
+        assert tested
+        assert max(tested.values()) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(small_programs(max_rules=4))

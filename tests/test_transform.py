@@ -217,3 +217,13 @@ class TestCorrespondence:
         rep = check_correspondence(car)
         assert rep.ok and rep.preferred
         assert calls == [car]
+
+    def test_a_given_gno_family_is_not_solved_again(self, monkeypatch):
+        def unexpected(p, bounds=None):
+            raise AssertionError("gno solved although its family was given")
+
+        monkeypatch.setattr(transform_module, "preferred_answer_sets_gno", unexpected)
+        assert check_correspondence(RUN, None, {lits("b")}).ok
+        rep = check_correspondence(RUN, None, set())
+        assert not rep.ok
+        assert rep.extra == (lits("b"),)

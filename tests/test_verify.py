@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from helpers import literal_families, lits
 
-from prefas import fixtures, verify
+from prefas import fixtures, transform, verify
 from prefas.base import answer_sets, is_stratified
 from prefas.syntax import close_preferences
 from prefas.verify import (
@@ -176,6 +176,19 @@ class TestFuzz:
         assert set(calls.values()) == {1}
         fuzz(GenParams(seed=0), 20)
         assert set(calls.values()) == {2}
+
+    def test_transform_eq_reuses_the_gno_family(self, monkeypatch):
+        # check_correspondence gets the gno family from the shared dict
+        calls = []
+        real = transform.preferred_answer_sets_gno
+
+        def counted(p, bounds=None):
+            calls.append(p)
+            return real(p, bounds)
+
+        monkeypatch.setattr(transform, "preferred_answer_sets_gno", counted)
+        assert fuzz(GenParams(seed=0), 20).ok
+        assert calls == []
 
     def test_a_broken_g_is_still_caught(self, monkeypatch):
         monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
