@@ -23,8 +23,10 @@ tuple, kept in a small lru cache: the bitmask tables, the generating sets
 (found by :func:`prefas.kernels.enum_fixpoints`) and the fragment lattice
 (found by :func:`prefas.kernels.enum_closed`), each built on first use.
 The preference semantics filter these tables with the one preference table
-of ``_less_masks`` and end in the shared dedup step of
-``_answer_sets_from_masks``.  Results come in bitmask order over source
+of ``_less_masks``: each has a ``_preferred_masks(p, bounds)`` that returns
+the index and its preferred generating sets as masks, and every semantics,
+the plain one included, turns masks into answer sets in the one dedup step
+of ``_answer_sets_from_masks``.  Results come in bitmask order over source
 rule order, and :class:`Bounds` caps the program size on every call.
 """
 
@@ -183,11 +185,13 @@ class _Index:
         return frozenset(self.labels[i] for i in range(self.n) if mask >> i & 1)
 
     def or_of(self, mask: int, table: Sequence[int]) -> int:
-        """The union of ``table[i]`` over the rules i in ``mask``."""
+        """The union of ``table[i]`` over the rules i in ``mask``, visiting
+        only its set bits."""
         bits = 0
-        for i in range(self.n):
-            if mask >> i & 1:
-                bits |= table[i]
+        while mask:
+            low = mask & -mask
+            bits |= table[low.bit_length() - 1]
+            mask ^= low
         return bits
 
     def literals_of_head_bits(self, bits: int) -> frozenset[Literal]:

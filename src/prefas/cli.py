@@ -14,13 +14,11 @@ import json
 import sys
 from typing import Iterable
 
-from .base import Bounds, answer_sets
-from .direct import preferred_answer_sets_d
-from .fragments import preferred_answer_sets_g
-from .gno import preferred_answer_sets_gno
-from .syntax import Literal, PrefasError, format_program, parse_program
+from .base import AnswerSet, Bounds
+from .fragments import FragmentSet
+from .syntax import Literal, PrefasError, parse_program
 from .transform import format_transformed, transform
-from .verify import PROPERTIES, GenParams, check_program, fuzz
+from .verify import PROPERTIES, SEMANTICS, GenParams, check_program, fuzz, solve
 
 PROPERTY_CHOICES = tuple(name.replace("_", "-") for name in PROPERTIES) + ("all",)
 
@@ -29,8 +27,8 @@ def _set_str(literals: Iterable[Literal]) -> str:
     return "{" + ", ".join(sorted(map(str, literals))) + "}"
 
 
-def _sorted_sets(families: Iterable[frozenset[Literal]]) -> list[frozenset[Literal]]:
-    return sorted(families, key=_set_str)
+def _by_literals(solved: list) -> list:
+    return sorted(solved, key=lambda pair: _set_str(pair[0].literals))
 
 
 def _read(path: str) -> str:
@@ -41,43 +39,24 @@ def _read(path: str) -> str:
         raise PrefasError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
+def _witness(a: AnswerSet, e: FragmentSet | None) -> dict:
+    w = {"literals": sorted(map(str, a.literals)), "generating": sorted(a.generating)}
+    if e is not None:
+        w["fragments"] = sorted(sorted(f) for f in e.members)
+    return w
+
+
 def _solve_document(path: str, semantics: str, bounds: Bounds) -> dict:
     program = parse_program(_read(path), allow_reserved=True)
-    asets = _sorted_sets(a.literals for a in answer_sets(program, bounds))
-    doc = {
+    asets = _by_literals(solve(program, "as", bounds))
+    preferred = [] if semantics == "as" else _by_literals(solve(program, semantics, bounds))
+    return {
         "program_path": path,
         "semantics": semantics,
-        "answer_sets": [sorted(map(str, s)) for s in asets],
-        "preferred": [],
-        "witnesses": [],
+        "answer_sets": [sorted(map(str, a.literals)) for a, _ in asets],
+        "preferred": [sorted(map(str, a.literals)) for a, _ in preferred],
+        "witnesses": [_witness(a, e) for a, e in preferred],
     }
-    if semantics == "as":
-        return doc
-    if semantics == "d":
-        witnessed = [(a.literals, {"generating": sorted(a.generating)})
-                     for a in preferred_answer_sets_d(program, bounds)]
-    elif semantics == "gno":
-        witnessed = [(a.literals, {"generating": sorted(a.generating)})
-                     for a in preferred_answer_sets_gno(program, bounds)]
-    elif semantics == "g":
-        witnessed = [
-            (
-                a.literals,
-                {
-                    "generating": sorted(a.generating),
-                    "fragments": sorted(sorted(f) for f in e.members),
-                },
-            )
-            for a, e in preferred_answer_sets_g(program, bounds)
-        ]
-    else:
-        raise PrefasError(f"unknown semantics {semantics!r}")
-    witnessed.sort(key=lambda pair: _set_str(pair[0]))
-    doc["preferred"] = [sorted(map(str, s)) for s, _ in witnessed]
-    doc["witnesses"] = [
-        {"literals": sorted(map(str, s)), **w} for s, w in witnessed
-    ]
-    return doc
 
 
 def _print_solve_text(doc: dict, witness: bool) -> None:
@@ -143,10 +122,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         doc = {
             "program_path": args.file,
             "properties": list(properties),
-            "violations": [
-                {"kind": v.kind, "witness": v.witness, "program": format_program(v.program)}
-                for v in violations
-            ],
+            "violations": [v.to_dict() for v in violations],
         }
         lines = [f"check {args.file}: {', '.join(properties)}"]
         if violations:
@@ -175,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file", help="program file (.lpp)")
     solve.add_argument(
         "--semantics",
-        choices=("as", "d", "g", "gno"),
+        choices=("as", *SEMANTICS),
         default="as",
         help="plain answer sets, or one of the preference semantics",
     )

@@ -37,6 +37,11 @@ The fragment lattice, with A(f) for each fragment f, depends on the rules
 alone, so it lives on the program's shared index and is built at most once
 per rule tuple; only the preference table ``less`` differs between
 programs with the same rules.
+
+Like ``direct`` and ``gno``, ``_preferred_masks`` returns the preferred
+generating sets as masks, and the answer sets come from the shared dedup
+step ``_answer_sets_from_masks``; each one's witness is the fragments
+inside its generating set.
 """
 
 from __future__ import annotations
@@ -47,11 +52,11 @@ from typing import Iterable, Sequence, Union
 from .base import (
     AnswerSet,
     Bounds,
+    _answer_sets_from_masks,
     _index,
     _Index,
     _less_masks,
     generating_sets,
-    is_consistent,
     minpos,
     rules_of,
 )
@@ -200,27 +205,30 @@ def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
         sub = (sub - free) & free
 
 
-def _stable_sets(
-    p: ProgramLike, bounds: Bounds | None, less: Sequence[int] | None
-) -> list[FragmentSet]:
-    """The fragments inside each generating set R, kept when ``less`` is
-    None or when every fragment outside R is removed under ``less``; the
-    module description says why one fragment D | R per outside part D is
-    enough."""
+def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
+    """The generating sets R whose fragments remove every fragment outside
+    R, as masks, ascending; one fragment D | R per outside part D is tested,
+    as the module description explains."""
     bounds = bounds or Bounds.from_env()
     idx = _lattice_index(p, bounds)
+    less = _less_masks(p)
     everything = (1 << idx.n) - 1
     out = []
     for labels in generating_sets(p, bounds):
         r = idx.mask_of(labels)
         frags = idx.fragments  # built only when some generating set needs it
         e = _fragments_between(frags, 0, r)[::-1]  # descending: R first
-        if less is None or all(
+        if all(
             _removed(idx, less, x, e)
             for x in _fragments_between(frags, r, everything)[1:]  # R itself is first
         ):
-            out.append(FragmentSet.build(p, (idx.labels_of(m) for m in e)))
-    return out
+            out.append(r)
+    return idx, out
+
+
+def _witness(p: ProgramLike, idx: _Index, r: int) -> FragmentSet:
+    """The fragments inside the generating set ``r``."""
+    return FragmentSet.build(p, (idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r)))
 
 
 def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentSet]:
@@ -230,35 +238,28 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     outside R, so the preference-free reduct returns exactly the fragments
     inside R; the tests check this against ``reduct_g``.
     """
-    return _stable_sets(p, bounds, None)
+    bounds = bounds or Bounds.from_env()
+    idx = _lattice_index(p, bounds)
+    return [_witness(p, idx, idx.mask_of(r)) for r in generating_sets(p, bounds)]
 
 
 def preferred_stable_fragment_sets(
     p: PrefProgram, bounds: Bounds | None = None
 ) -> list[FragmentSet]:
-    """Stable fragment sets fixed by the preference-aware reduct.
-
-    For the fragments E inside a generating set R, the reduct keeps every
-    member of E, since R ∩ A(R) = ∅: R defeats none of its own rules.  So
-    E is kept when every fragment outside R is defeated by some member of
-    E that it does not override.  That outcome depends only on the
-    fragment's outside part D, because R ∩ A(R) = ∅ makes the rules each
-    side defeats in the other depend only on D.  So one fragment is tested
-    per distinct D, and the first one that survives rejects R.  The tests
-    check this against ``reduct_g``.
-    """
-    return _stable_sets(p, bounds, _less_masks(p))
+    """Stable fragment sets fixed by the preference-aware reduct: the
+    fragments inside each generating set that ``_preferred_masks`` keeps.
+    The tests check this against ``reduct_g``."""
+    idx, masks = _preferred_masks(p, bounds)
+    return [_witness(p, idx, r) for r in masks]
 
 
 def preferred_answer_sets_g(
     p: PrefProgram, bounds: Bounds | None = None
 ) -> list[tuple[AnswerSet, FragmentSet]]:
-    """Preferred answer sets with their witnessing fragment sets."""
-    bounds = bounds or Bounds.from_env()
-    out = []
-    seen = set()
-    for e in preferred_stable_fragment_sets(p, bounds):
-        if is_consistent(e.heads) and e.heads not in seen:
-            seen.add(e.heads)
-            out.append((AnswerSet(e.heads, e.union), e))
-    return out
+    """Preferred answer sets, each with the fragments inside its generating
+    set as the witnessing preferred stable fragment set."""
+    idx, masks = _preferred_masks(p, bounds)
+    return [
+        (a, _witness(p, idx, idx.mask_of(a.generating)))
+        for a in _answer_sets_from_masks(idx, masks)
+    ]

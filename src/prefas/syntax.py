@@ -236,8 +236,11 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _ATOM_RE.match(text, i)
         if m and m.start() == i:
-            tokens.append(_Token("ID", m.group(0), line, col))
-            col += m.end() - i
+            token = m.group(0)
+            tokens.append(_Token("ID", token, line, col))
+            breaks = token.count("\n")  # an argument part may span lines
+            line += breaks
+            col = len(token) - token.rfind("\n") if breaks else col + len(token)
             i = m.end()
             continue
         for kind, lexeme in _TOKEN_KINDS:

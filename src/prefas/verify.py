@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from . import fixtures
-from .base import Bounds, _less_masks, answer_sets, gr, is_stratified
+from .base import AnswerSet, Bounds, _less_masks, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
-from .fragments import _lattice_index, _mask_overrides, preferred_answer_sets_g
+from .fragments import FragmentSet, _lattice_index, _mask_overrides, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
@@ -27,6 +27,25 @@ SEMANTICS = ("d", "g", "gno")
 
 
 Families = dict[tuple[PrefProgram, str], frozenset[frozenset[Literal]]]
+
+
+def solve(
+    p: PrefProgram, semantics: str, bounds: Bounds | None = None
+) -> list[tuple[AnswerSet, FragmentSet | None]]:
+    """The answer sets of ``p`` under ``semantics`` (``"as"`` or one of
+    ``SEMANTICS``), each paired with its fragment set under ``g``, else None.
+    The CLI and the checks both dispatch on the semantics here."""
+    if semantics == "as":
+        found = answer_sets(p, bounds)
+    elif semantics == "d":
+        found = preferred_answer_sets_d(p, bounds)
+    elif semantics == "g":
+        return preferred_answer_sets_g(p, bounds)
+    elif semantics == "gno":
+        found = preferred_answer_sets_gno(p, bounds)
+    else:
+        raise ValueError(f"unknown semantics {semantics!r}")
+    return [(a, None) for a in found]
 
 
 def preferred_families(
@@ -47,16 +66,7 @@ def preferred_families(
     key = (p, semantics)
     if families is not None and key in families:
         return families[key]
-    if semantics == "as":
-        found = frozenset(a.literals for a in answer_sets(p, bounds))
-    elif semantics == "d":
-        found = frozenset(a.literals for a in preferred_answer_sets_d(p, bounds))
-    elif semantics == "g":
-        found = frozenset(a.literals for a, _ in preferred_answer_sets_g(p, bounds))
-    elif semantics == "gno":
-        found = frozenset(a.literals for a in preferred_answer_sets_gno(p, bounds))
-    else:
-        raise ValueError(f"unknown semantics {semantics!r}")
+    found = frozenset(a.literals for a, _ in solve(p, semantics, bounds))
     if families is not None:
         families[key] = found
     return found
@@ -74,6 +84,12 @@ class Violation:
         if self.seed is not None:
             head += f" (seed {self.seed})"
         return head + f": {self.witness}\n{format_program(self.program)}"
+
+    def to_dict(self) -> dict:
+        """The JSON form; like ``__str__`` it names the seed only if there is one."""
+        seed = {} if self.seed is None else {"seed": self.seed}
+        program = format_program(self.program)
+        return {"kind": self.kind, **seed, "witness": self.witness, "program": program}
 
 
 def _sorted_literals(s: Iterable[Literal]) -> list[str]:
@@ -349,47 +365,49 @@ def random_lpp(params: GenParams) -> PrefProgram:
 
     Preference pairs are sampled consistently with a random total order on
     the rules, so the written pairs are acyclic and closure keeps them
-    asymmetric.  In stratified mode programs with a negative dependency
-    cycle are resampled.
+    asymmetric.  Stratified mode first draws a random rank of the atoms,
+    then draws positive-body atoms at or below the head's rank and
+    negative-body atoms strictly below it, so no dependency cycle passes
+    through default negation.
     """
     rng = random.Random(params.seed)
     atoms = _atom_names(params.n_atoms)
+    ranked = rng.sample(atoms, len(atoms)) if params.stratified else None
 
-    def random_literal() -> Literal:
-        return Literal(rng.choice(atoms), rng.random() >= params.p_classical_neg)
+    def random_literal(pool: Sequence[str]) -> Literal:
+        return Literal(rng.choice(pool), rng.random() >= params.p_classical_neg)
 
-    for _ in range(10_000):
-        rules = []
-        seen = set()
-        for i in range(params.n_rules):
-            for _ in range(100):
-                head = random_literal()
-                pos = frozenset(
-                    random_literal() for _ in range(rng.randint(0, params.max_pos_body))
-                )
-                neg = frozenset(
-                    random_literal() for _ in range(rng.randint(0, params.max_neg_body))
-                )
-                if (head, pos, neg) not in seen:
-                    seen.add((head, pos, neg))
-                    rules.append(Rule(f"r{i + 1}", head, pos, neg))
-                    break
+    def body(pool: Sequence[str], max_size: int) -> frozenset[Literal]:
+        size = rng.randint(0, max_size) if pool else 0
+        return frozenset(random_literal(pool) for _ in range(size))
+
+    rules = []
+    seen = set()
+    for i in range(params.n_rules):
+        for _ in range(100):
+            head = random_literal(atoms)
+            if ranked is None:
+                at_or_below = below = atoms
             else:
-                raise RuntimeError("could not draw enough distinct rules")
-        labels = [r.label for r in rules]
-        order = rng.sample(labels, len(labels))
-        pairs = [
-            (order[i], order[j])
-            for i in range(len(order))
-            for j in range(i + 1, len(order))
-            if rng.random() < params.pref_density
-        ]
-        program = PrefProgram(
-            tuple(rules), close_preferences(pairs, labels), tuple(pairs)
-        )
-        if not params.stratified or is_stratified(program):
-            return program
-    raise RuntimeError("could not draw a stratified program; lower the density")
+                below = ranked[: ranked.index(head.atom)]
+                at_or_below = below + [head.atom]
+            pos = body(at_or_below, params.max_pos_body)
+            neg = body(below, params.max_neg_body)
+            if (head, pos, neg) not in seen:
+                seen.add((head, pos, neg))
+                rules.append(Rule(f"r{i + 1}", head, pos, neg))
+                break
+        else:
+            raise RuntimeError("could not draw enough distinct rules")
+    labels = [r.label for r in rules]
+    order = rng.sample(labels, len(labels))
+    pairs = [
+        (order[i], order[j])
+        for i in range(len(order))
+        for j in range(i + 1, len(order))
+        if rng.random() < params.pref_density
+    ]
+    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
 
 
 @dataclass
@@ -412,15 +430,7 @@ class FuzzReport:
             "seed": self.params.seed,
             "properties": list(self.properties),
             "checked": dict(self.checked),
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "seed": v.seed,
-                    "witness": v.witness,
-                    "program": format_program(v.program),
-                }
-                for v in self.violations
-            ],
+            "violations": [v.to_dict() for v in self.violations],
             "strictness_witnesses": {
                 "g_over_gno": self.strict_g_over_gno,
                 "d_over_g": self.strict_d_over_g,
@@ -526,32 +536,28 @@ class FixtureReport:
         }
 
 
+_SELECT = frozenset({Literal("select(a)", False), Literal("select(b)")})
+
+# (fixture, expectation on its families by semantics, "as" included), in
+# the order of FixtureReport's fields
+_PRINCIPLE_23 = (
+    ("independent_choices",
+     lambda fam: _SELECT in fam["g"] and _SELECT in fam["d"] and not fam["gno"]),
+    ("interlocked_choices",
+     lambda fam: _SELECT not in fam["g"] and _SELECT not in fam["gno"]),
+    ("self_blocking_choice",
+     lambda fam: bool(fam["as"]) and not fam["g"] and not fam["gno"]),
+)
+
+
 def check_principle_23_fixtures(bounds: Bounds | None = None) -> FixtureReport:
-    select = frozenset({Literal("select(a)", False), Literal("select(b)")})
-
-    p2 = fixtures.load("independent_choices")
-    fam2 = {s: preferred_families(p2, s, bounds) for s in SEMANTICS}
-    independent = {
-        "answer_sets": _sorted_family({a.literals for a in answer_sets(p2, bounds)}),
-        "preferred": {s: _sorted_family(fam2[s]) for s in SEMANTICS},
-        "ok": select in fam2["g"] and select in fam2["d"] and fam2["gno"] == set(),
-    }
-
-    p2x = fixtures.load("interlocked_choices")
-    fam2x = {s: preferred_families(p2x, s, bounds) for s in SEMANTICS}
-    interlocked = {
-        "answer_sets": _sorted_family({a.literals for a in answer_sets(p2x, bounds)}),
-        "preferred": {s: _sorted_family(fam2x[s]) for s in SEMANTICS},
-        "ok": select not in fam2x["g"] and select not in fam2x["gno"],
-    }
-
-    p3x = fixtures.load("self_blocking_choice")
-    fam3 = {s: preferred_families(p3x, s, bounds) for s in SEMANTICS}
-    asets3 = {a.literals for a in answer_sets(p3x, bounds)}
-    self_blocking = {
-        "answer_sets": _sorted_family(asets3),
-        "preferred": {s: _sorted_family(fam3[s]) for s in SEMANTICS},
-        "ok": bool(asets3) and fam3["g"] == set() and fam3["gno"] == set(),
-    }
-
-    return FixtureReport(independent, interlocked, self_blocking)
+    results = []
+    for name, expected in _PRINCIPLE_23:
+        p = fixtures.load(name)
+        fam = {s: preferred_families(p, s, bounds) for s in ("as", *SEMANTICS)}
+        results.append({
+            "answer_sets": _sorted_family(fam["as"]),
+            "preferred": {s: _sorted_family(fam[s]) for s in SEMANTICS},
+            "ok": expected(fam),
+        })
+    return FixtureReport(*results)

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import prefas
-from prefas import fixtures
+from prefas import fixtures, verify
 from prefas.cli import PROPERTY_CHOICES, main
 from prefas.verify import PROPERTIES
 
 SRC = str(Path(prefas.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -109,3 +110,26 @@ def test_g_on_seven_even_loops(tmp_path, capsys, monkeypatch):
     out = _solve_g_on_even_loops(7, tmp_path, capsys)
     assert len(out["answer_sets"]) == 128
     assert out["preferred"] == [["a0", "a2", "a4", "a6", "b1", "b3", "b5"]]
+
+
+@pytest.mark.parametrize("semantics", ["as", "d", "g", "gno"])
+@pytest.mark.parametrize("fixture", ["indirect_conflict", "car_recommender"])
+def test_solve_prints_the_pinned_output(fixture, semantics, tmp_path, capsys):
+    # golden/<fixture>.<semantics>.json and .txt hold the --json and
+    # --witness output byte for byte, the JSON with its path as "PROGRAM"
+    path = tmp_path / f"{fixture}.lpp"
+    path.write_text(fixtures.SOURCES[fixture], encoding="utf-8")
+    golden = GOLDEN / f"{fixture}.{semantics}"
+    assert main(["solve", str(path), "--semantics", semantics, "--json"]) == 0
+    expected = Path(f"{golden}.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected.replace('"PROGRAM"', json.dumps(str(path)))
+    assert main(["solve", str(path), "--semantics", semantics, "--witness"]) == 0
+    assert capsys.readouterr().out == Path(f"{golden}.txt").read_text(encoding="utf-8")
+
+
+def test_check_json_names_no_seed_for_a_given_program(monkeypatch, capsys, program_file):
+    monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
+    assert main(["check", program_file, "--property", "hierarchy", "--json"]) == 1
+    [violation] = json.loads(capsys.readouterr().out)["violations"]
+    assert list(violation) == ["kind", "witness", "program"]
+    assert violation["kind"] == "hierarchy"

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 
 from prefas import fixtures
 from prefas import fragments as fragments_module
-from prefas.base import Bounds, _less_masks, answer_sets, generating_sets, is_consistent, is_stratified
+from prefas.base import (
+    AnswerSet,
+    Bounds,
+    _less_masks,
+    answer_sets,
+    generating_sets,
+    is_consistent,
+    is_stratified,
+)
 from prefas.fragments import (
     FragmentSet,
     _lattice_index,
@@ -290,6 +298,34 @@ class TestPreferredAnswerSetsG:
         # survivor, against reduct_g over the whole fragment lattice
         expected = [e for e in stable_fragment_sets(p) if reduct_g(p, e) == e]
         assert preferred_stable_fragment_sets(p) == expected
+
+    @pytest.mark.parametrize(
+        "p",
+        [pytest.param(fixtures.load(name), id=name) for name in fixtures.SOURCES]
+        + [
+            pytest.param(even_loops(k, seed, chain), id=f"loops{k}-seed{seed}-chain{int(chain)}")
+            for k in (2, 3)
+            for seed in (0, 1)
+            for chain in (False, True)
+        ]
+        + [
+            # few atoms and dense preferences: some preferred sets have
+            # inconsistent heads
+            pytest.param(
+                random_lpp(GenParams(seed=seed, n_rules=8, n_atoms=3, pref_density=0.6)),
+                id=f"lpp-seed{seed}",
+            )
+            for seed in range(12)
+        ],
+    )
+    def test_answer_sets_are_the_deduplicated_unions(self, p):
+        # the consistent heads of the preferred stable fragment sets, each
+        # kept at its first set, with that set as the witness
+        expected = []
+        for e in preferred_stable_fragment_sets(p):
+            if is_consistent(e.heads) and all(e.heads != a.literals for a, _ in expected):
+                expected.append((AnswerSet(e.heads, e.union), e))
+        assert preferred_answer_sets_g(p) == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_outside_part_is_tested_once(self, monkeypatch, seed):

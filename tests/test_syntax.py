@@ -64,6 +64,13 @@ def test_parse_reports_position():
     assert err.value.column == 10
 
 
+def test_parse_position_after_an_argument_spanning_lines():
+    # the argument parts of p(a\nb) span lines, so the '?' is on line 5
+    with pytest.raises(ParseError) as err:
+        parse_program("r1: p(a\nb).\nr2: q :- not p(a\nb).\nr3: ?")
+    assert (err.value.line, err.value.column) == (5, 5)
+
+
 def test_parse_classical_negation_and_arguments():
     p = parse_program("u2: -rec(car_1) :- rec(car_2).")
     r = p.rule("u2")

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -5,9 +6,14 @@ from helpers import literal_families, lits
 
 from prefas import fixtures, transform, verify
 from prefas.base import answer_sets, is_stratified
-from prefas.syntax import close_preferences
+from prefas.direct import preferred_answer_sets_d
+from prefas.fragments import preferred_answer_sets_g
+from prefas.gno import preferred_answer_sets_gno
+from prefas.syntax import close_preferences, format_program
 from prefas.verify import (
+    SEMANTICS,
     GenParams,
+    Violation,
     check_hierarchy,
     check_monotonicity,
     check_principle_1,
@@ -17,6 +23,7 @@ from prefas.verify import (
     fuzz,
     preferred_families,
     random_lpp,
+    solve,
 )
 
 RUN = fixtures.load("indirect_conflict")
@@ -129,8 +136,17 @@ class TestRandomLpp:
         assert p.prefs == frozenset()
 
     def test_stratified_mode(self):
-        for seed in range(100):
-            assert is_stratified(random_lpp(GenParams(seed=seed, stratified=True)))
+        drawn = [random_lpp(GenParams(seed=seed, stratified=True)) for seed in range(1000)]
+        assert all(is_stratified(p) for p in drawn)
+        # drawn by construction, and default negation is still common
+        assert sum(any(r.neg_body for r in p.rules) for p in drawn) > 990
+
+    def test_plain_draws_are_pinned(self):
+        # the benchmark's reference inputs are plain draws, so the stratified
+        # mode must not move the plain stream
+        text = "".join(format_program(random_lpp(GenParams(seed=seed))) for seed in range(50))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "beda02800224f7806bb91157e865f08b9c20dfc2dd2777b7afa474c770a5b15b"
 
     def test_respects_sizes(self):
         p = random_lpp(GenParams(seed=5, n_rules=4, n_atoms=3, max_pos_body=1, max_neg_body=1))
@@ -159,8 +175,8 @@ class TestFuzz:
             fuzz(GenParams(seed=0), 1, properties=("nope",))
 
     def test_each_family_is_solved_once_per_program(self, monkeypatch):
-        # the drawn program, its stratified redraw, its preference-free copy
-        # and its weaker-preference copy: 174 (semantics, program) pairs,
+        # the drawn program, its stratified draw, its preference-free copy
+        # and its weaker-preference copy: 178 (semantics, program) pairs,
         # each solved once per run, and again by a second run
         calls = Counter()
         for semantics in ("d", "g", "gno"):
@@ -172,7 +188,7 @@ class TestFuzz:
 
             monkeypatch.setattr(verify, name, counted)
         assert fuzz(GenParams(seed=0), 20).ok
-        assert len(calls) == 174
+        assert len(calls) == 178
         assert set(calls.values()) == {1}
         fuzz(GenParams(seed=0), 20)
         assert set(calls.values()) == {2}
@@ -215,3 +231,48 @@ class TestFamilies:
         monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
         [violation] = check_program(RUN, ["hierarchy"])
         assert violation.witness["lower"] == "gno"
+
+
+class TestSolve:
+    def test_every_semantics_goes_through_one_dispatch(self):
+        car = fixtures.load("car_recommender")
+        single = {
+            "as": answer_sets,
+            "d": preferred_answer_sets_d,
+            "gno": preferred_answer_sets_gno,
+        }
+        for p in (RUN, BE, car):
+            for semantics, fn in single.items():
+                assert solve(p, semantics) == [(a, None) for a in fn(p)]
+            assert solve(p, "g") == preferred_answer_sets_g(p)
+            assert all(e is not None for _, e in solve(p, "g"))
+
+    def test_unknown_semantics_rejected(self):
+        with pytest.raises(ValueError, match="unknown semantics"):
+            solve(RUN, "x")
+        with pytest.raises(ValueError, match="unknown semantics"):
+            preferred_families(RUN, "x")
+
+    def test_families_follow_solve(self):
+        for semantics in ("as", *SEMANTICS):
+            expected = frozenset(a.literals for a, _ in solve(BE, semantics))
+            assert preferred_families(BE, semantics) == expected
+
+
+class TestViolationDict:
+    def test_seed_only_for_a_drawn_program(self):
+        v = Violation("hierarchy", RUN, {"lower": "gno"})
+        assert v.to_dict() == {
+            "kind": "hierarchy",
+            "witness": {"lower": "gno"},
+            "program": format_program(RUN),
+        }
+        drawn = Violation("hierarchy", RUN, {"lower": "gno"}, seed=7).to_dict()
+        assert list(drawn) == ["kind", "seed", "witness", "program"]
+        assert drawn["seed"] == 7
+
+    def test_fuzz_report_uses_it(self, monkeypatch):
+        monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
+        report = fuzz(GenParams(seed=0), 5, ["hierarchy"])
+        assert report.violations
+        assert report.to_dict()["violations"] == [v.to_dict() for v in report.violations]
