@@ -295,7 +295,15 @@ def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozen
 
 
 def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet]:
-    """The consistent head sets of ``masks``, each kept at its first mask."""
+    """The consistent head sets of ``masks``, each kept at its first mask.
+
+    Under ``as``, ``gno`` and ``g`` the masks are distinct generating sets,
+    and a generating set is fixed by its heads, since the reduct it is a
+    fixpoint of reads only heads(R); so no literal set repeats there, which
+    the tests check.  The ``d`` reduct reads which rules of R defeat a rule,
+    not only their heads, so that argument does not cover ``d``, and the
+    ``seen`` check stays for its sets.
+    """
     out: list[AnswerSet] = []
     seen: set[frozenset[Literal]] = set()
     for m in masks:

@@ -161,30 +161,47 @@ def transformed_answer_sets(
 
     Source literals and shadows only appear as heads of rules whose bodies
     are driven by the n_r atoms, and inc can never be in an answer set, so
-    every answer set is determined by its n_r part.  Candidates therefore
-    range over the subsets of the name atoms, each closed under forms 1 and
-    3.  The program is compiled once into bitmasks, one bit per literal, and
-    the closures are computed on those.
+    every answer set is determined by its n_r part G: it is close(G), the
+    closure of G under forms 1 and 3.  Form 2 is the only rule with head
+    n_r, so close(G) can be an answer set only when G is exactly the set of
+    n_r whose form-2 body holds in close(G), and when close(G) is
+    consistent.  The program is compiled once into bitmasks, one bit per
+    literal, and the closures are computed on those.
 
-    Two tests drop a closure before the classic reduct-and-least-model test,
-    which stays the final word on every candidate that remains:
+    A search finds every such G without trying all 2^n of them.  It keeps
+    the name atoms decided in (H) and decided out (N); the rest are
+    undecided.  Forms 1 and 3 are positive, so close is monotone and every
+    completion G of the partial decision has
 
-      - some n_r is in it while its form-2 body does not hold in it, or the
-        other way round.  Form 2 is the only rule with head n_r, so an
-        answer set holds n_r exactly when that body holds in it.
-      - it is inconsistent, which no answer set is.
+        close(H)  ⊆  close(G)  ⊆  close(all ∖ N).
 
-    Neither test can drop an answer set, so the result equals running the
-    final test on every closure.  The route calls no enumeration kernel and
-    no preference semantics, and it does not restrict the guesses to known
-    generating sets: it is the independent side of ``check_correspondence``.
+    Against these bounds a rule r is forced in when its form-2 body holds
+    under both (its positive body is inside close(H) and its shadows miss
+    close(all ∖ N)), and forced out when the body fails in every completion
+    (a positive-body literal lies outside close(all ∖ N), or a shadow is
+    already in close(H)).  A branch is dropped when a forced rule
+    contradicts H or N, or when close(H) holds a complementary pair; forced
+    rules join H or N and the bounds are recomputed until nothing more
+    follows, and only then does the search branch on the lowest undecided
+    name atom.  With nothing undecided the bounds meet, and every rule is
+    forced the way it was decided, so close(H) is a candidate.  The two
+    branches split the guesses, so nothing is found twice, and no step
+    drops a G that passes both tests.  The classic reduct-and-least-model
+    test stays the final word on every candidate.
+
+    The search propagates the way ``kernels.enum_fixpoints`` does, but it
+    shares no code with it.  The route calls no enumeration kernel, no
+    shared index and no preference semantics, and it does not restrict the
+    guesses to known generating sets, because it is the independent side
+    of ``check_correspondence``: a fault in shared code would show on both
+    sides of that check and cancel out.
     """
     bounds = bounds or Bounds.from_env()
     src_rules = t.source.rules
     n = len(src_rules)
     _check_rule_bound(n, bounds)
-    # the name atoms take bits 0..n-1 in source rule order, so that a guess
-    # over them is its own literal mask
+    # the name atoms take bits 0..n-1 in source rule order, so that a
+    # decision over them is its own literal mask
     bit = {t.name_literal(r.label): 1 << i for i, r in enumerate(src_rules)}
     for r in t.program:
         for x in (r.head, *r.pos_body, *r.neg_body):
@@ -195,7 +212,7 @@ def transformed_answer_sets(
         return sum(bit[x] for x in xs)
 
     # every form-1 and form-3 body holds exactly one name atom; grouped by
-    # it, a guess visits only the rules it can fire
+    # it, a closure visits only the rules its names can fire
     facts = [0] * n  # heads of the rules whose body is n_r alone
     needs: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (head, rest of body)
     for r in t.program:
@@ -215,12 +232,11 @@ def transformed_answer_sets(
     blocking = list(enumerate(form2[t.name_literal(r.label)] for r in src_rules))
     clashes = [bit[x] | bit[x.complement] for x in bit if x.positive and x.complement in bit]
 
-    out = []
-    for guess in range(1 << n):
-        model = guess
+    def close(names: int) -> int:
+        model = names
         pending: list[tuple[int, int]] = []
         for i in range(n):
-            if guess >> i & 1:
+            if names >> i & 1:
                 model |= facts[i]
                 pending += needs[i]
         while pending:
@@ -233,12 +249,39 @@ def transformed_answer_sets(
             if len(waiting) == len(pending):
                 break
             pending = waiting
-        supported = 0
-        for i, (pos, neg) in blocking:
-            if not pos & ~model and not neg & model:
-                supported |= 1 << i
-        if supported != guess or any(model & c == c for c in clashes):
-            continue
+        return model
+
+    everything = (1 << n) - 1
+    found = []
+    stack = [(0, 0)]  # (names decided in, names decided out)
+    while stack:
+        hit, missed = stack.pop()
+        low, high = close(hit), close(everything & ~missed)
+        while not any(low & c == c for c in clashes):
+            forced_in = forced_out = 0
+            for i, (pos, neg) in blocking:
+                if not pos & ~low and not neg & high:
+                    forced_in |= 1 << i
+                elif pos & ~high or neg & low:
+                    forced_out |= 1 << i
+            if forced_in & missed or forced_out & hit:
+                break
+            grown_hit, grown_missed = hit | forced_in, missed | forced_out
+            if grown_hit == hit and grown_missed == missed:
+                undecided = everything & ~hit & ~missed
+                if not undecided:
+                    found.append((hit, low))
+                else:
+                    g = undecided & -undecided
+                    stack.append((hit, missed | g))
+                    stack.append((hit | g, missed))
+                break
+            if grown_hit != hit:
+                hit, low = grown_hit, close(grown_hit)
+            if grown_missed != missed:
+                missed, high = grown_missed, close(everything & ~grown_missed)
+    out = []
+    for _, model in sorted(found):
         cand = frozenset(literal_at[j] for j in range(model.bit_length()) if model >> j & 1)
         if gl_is_answer_set(t.program, cand):
             out.append(cand)

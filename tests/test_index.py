@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from prefas import base, fixtures, kernels, verify
+from prefas import base, fixtures, gno, kernels, verify
+from prefas import fragments as fragments_module
 from prefas.base import Bounds, answer_sets, generating_sets
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
@@ -78,3 +79,32 @@ def test_each_rule_set_is_scanned_once(monkeypatch):
     assert closed and set(closed) <= set(lattices)
     assert all(calls <= lattices[tables] for tables, calls in closed.items())
     assert all(fixpoints[tables] <= count for tables, count in generating.items())
+
+
+def _generating_masks(p, bounds):
+    idx = base._compiled(p, bounds)
+    return idx, idx.generating
+
+
+@pytest.mark.parametrize(
+    "masks_of",
+    [_generating_masks, gno._preferred_masks, fragments_module._preferred_masks],
+    ids=["as", "gno", "g"],
+)
+def test_distinct_generating_sets_have_distinct_heads(masks_of):
+    """The masks that ``as``, ``gno`` and ``g`` hand to the dedup step are
+    distinct generating sets, and a generating set is fixed by its heads
+    (R = minpos(reduct(P, R)), and the reduct reads only heads(R)), so the
+    dedup step never drops one of theirs."""
+    checked = 0
+    for n_rules in (6, 8, 10, 12):
+        for density in (0.3, 0.6, 0.9):
+            for seed in range(12):
+                p = verify.random_lpp(GenParams(
+                    seed=seed, n_rules=n_rules, n_atoms=3 + seed % 4, pref_density=density
+                ))
+                idx, masks = masks_of(p, None)
+                heads = {idx.or_of(m, idx.head_bits) for m in masks}
+                assert len(heads) == len(masks)
+                checked += len(masks)
+    assert checked

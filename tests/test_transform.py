@@ -1,9 +1,15 @@
 import pytest
-from helpers import lits, literal_families, small_programs, transformed_answer_sets_by_literals
+from helpers import (
+    even_loops,
+    lits,
+    literal_families,
+    small_programs,
+    transformed_answer_sets_by_literals,
+)
 from hypothesis import given, settings
 
 import prefas.kernels
-from prefas import base, fixtures, gno
+from prefas import base, direct, fixtures, fragments, gno
 from prefas import transform as transform_module
 from prefas.base import Bounds, answer_sets
 from prefas.gno import preferred_answer_sets_gno
@@ -130,13 +136,34 @@ class TestBitmaskRouteMatchesOracle:
         programs = [random_lpp(GenParams(seed=seed, n_rules=10)) for seed in range(30)]
         assert _mismatched_programs(programs) == []
 
+    def test_dense_preference_programs(self):
+        programs = [random_lpp(GenParams(seed=seed, pref_density=0.9)) for seed in range(60)]
+        assert _mismatched_programs(programs) == []
+
+    def test_stratified_programs(self):
+        programs = [random_lpp(GenParams(seed=seed, stratified=True)) for seed in range(60)]
+        assert _mismatched_programs(programs) == []
+
+    def test_twelve_rule_random_programs(self):
+        programs = [
+            random_lpp(GenParams(seed=seed, n_rules=12, pref_density=density))
+            for seed, density in ((0, 0.3), (1, 0.6), (2, 0.9))
+        ]
+        assert _mismatched_programs(programs) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_programs())
+    def test_small_programs(self, p):
+        assert _mismatched_programs([p]) == []
+
     @pytest.mark.parametrize("name", sorted(fixtures.SOURCES))
     def test_fixture(self, name):
         assert _mismatched_programs([fixtures.load(name)]) == []
 
     def test_uses_no_fast_path(self, monkeypatch):
         # the route is the oracle for gno: it must not reach the enumeration
-        # kernels, the gno semantics or the generating-set enumeration
+        # kernels, the shared index, any preference semantics or the
+        # generating-set enumeration
         transformed = [transform(fixtures.load(name)) for name in sorted(fixtures.SOURCES)]
         expected = [transformed_answer_sets_by_literals(t) for t in transformed]
 
@@ -147,9 +174,25 @@ class TestBitmaskRouteMatchesOracle:
             monkeypatch.setattr(prefas.kernels, name, refuse)
         for module in (gno, transform_module):
             monkeypatch.setattr(module, "preferred_answer_sets_gno", refuse)
-        monkeypatch.setattr(base, "generating_sets", refuse)
-        monkeypatch.setattr(base, "answer_sets", refuse)
+        for name in ("generating_sets", "answer_sets", "_index", "_compiled"):
+            monkeypatch.setattr(base, name, refuse)
+        monkeypatch.setattr(direct, "preferred_answer_sets_d", refuse)
+        monkeypatch.setattr(fragments, "preferred_answer_sets_g", refuse)
         assert [transformed_answer_sets(t) for t in transformed] == expected
+
+
+class TestScale:
+    """Programs of 20 rules, the default ``max_rules``: 2^20 guesses over
+    the name atoms would take seconds each."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ten_even_loops(self, seed):
+        assert check_correspondence(even_loops(10, seed)).ok
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_twenty_rule_random_programs(self, seed):
+        p = random_lpp(GenParams(seed=seed, n_rules=20, n_atoms=12, pref_density=0.6))
+        assert check_correspondence(p).ok
 
 
 class TestProjectEmbed:
