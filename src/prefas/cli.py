@@ -32,8 +32,9 @@ def _by_literals(solved: list) -> list:
 
 
 def _read(path: str) -> str:
+    """The text of ``path``, without the byte-order mark some editors write."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as err:
         raise PrefasError(f"{path}: not UTF-8 text (byte {err.start})") from None

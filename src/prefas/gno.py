@@ -58,21 +58,28 @@ def reduct_gno(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:
 
 
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
-    """The generating sets R with R = minpos(reduct_gno(R)) as masks, with
-    the heads of trules memoised per (rule, allowed members)."""
+    """The generating sets R with R = minpos(reduct_gno(R)) as masks.
+
+    trules(r, R) lies inside R, so a rule whose negative body misses the
+    heads of R is kept without computing it.  The heads of minpos(allowed)
+    are memoised per set of allowed members, whichever rule asks.
+    """
     idx = _compiled(p, bounds)
     less = _less_masks(p)
-    memo: dict[tuple[int, int], int] = {}
+    memo: dict[int, int] = {}
     out = []
     for r_mask in idx.generating:
+        r_heads = idx.or_of(r_mask, idx.head_bits)
         kept = 0
         for i in range(idx.n):
-            allowed = r_mask & ~less[i]
-            heads = memo.get((i, allowed))
-            if heads is None:
-                heads = memo[i, allowed] = idx.or_of(idx.minpos_mask(allowed), idx.head_bits)
-            if idx.neg_hmasks[i] & heads == 0:
-                kept |= 1 << i
+            if idx.neg_hmasks[i] & r_heads:
+                allowed = r_mask & ~less[i]
+                heads = memo.get(allowed)
+                if heads is None:
+                    heads = memo[allowed] = idx.or_of(idx.minpos_mask(allowed), idx.head_bits)
+                if idx.neg_hmasks[i] & heads:
+                    continue
+            kept |= 1 << i
         if idx.minpos_mask(kept) == r_mask:
             out.append(r_mask)
     return idx, out

@@ -23,19 +23,26 @@ reserved for generated programs and rejected on ordinary input.
 The preference relation a user writes can be any set of pairs; it is closed
 transitively here, and rejected if the closure is not asymmetric (i.e. the
 written pairs contain a directed cycle).
+
+Parsing makes one ``findall`` pass of a compiled regular expression over the
+text.  Each match skips blanks and a comment, then yields one token as a
+plain string; a character that starts no token becomes a one-character
+token of its own, and the empty match at the end of the text marks the end
+of input.  The parse loop reads that list by index and tracks no positions.
+Only a :class:`ParseError` scans the text again, up to the failing token,
+and turns the token's offset into a line and a column: lines end at ``\n``,
+and a tab or ``\r`` is one column.  A text holding a character that starts
+no token is reported at the first such character, before any other error.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 RESERVED_PREFIX = "__"
-
-_ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\([^()]*\))?")
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PrefasError(Exception):
@@ -111,13 +118,18 @@ class PrefProgram:
     prefs: frozenset[tuple[str, str]] = frozenset()
     raw_prefs: tuple[tuple[str, str], ...] = ()
 
+    @cached_property
+    def _identity(self) -> tuple[frozenset[Rule], frozenset[tuple[str, str]]]:
+        """What equality and hashing compare, built once per program."""
+        return frozenset(self.rules), self.prefs
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrefProgram):
             return NotImplemented
-        return frozenset(self.rules) == frozenset(other.rules) and self.prefs == other.prefs
+        return self._identity == other._identity
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.rules), self.prefs))
+        return hash(self._identity)
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
@@ -167,163 +179,73 @@ def close_preferences(
     :class:`KeyError` if a pair names an unknown label.
     """
     known = set(labels)
-    succ: dict[str, set[str]] = {}
+    succ: dict[str, list[str]] = {}
     for lo, hi in raw_pairs:
         for name in (lo, hi):
             if name not in known:
                 raise KeyError(f"preference names unknown rule label {name!r}")
-        succ.setdefault(lo, set()).add(hi)
+        succ.setdefault(lo, []).append(hi)
 
-    closed = {(lo, hi) for lo, his in succ.items() for hi in his}
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in list(closed):
-            for hi2 in succ.get(hi, ()):
-                if (lo, hi2) not in closed:
-                    closed.add((lo, hi2))
-                    succ.setdefault(lo, set()).add(hi2)
-                    changed = True
-
-    for lo, hi in closed:
-        if lo == hi or (hi, lo) in closed:
+    # the closure is asymmetric exactly when no label reaches itself
+    closure: dict[str, set[str]] = {}
+    for lo, his in succ.items():
+        reach = closure[lo] = _reachable(his, succ, closure)
+        if lo in reach:
+            hi = next(h for h in his if h == lo or lo in _reachable([h], succ, {}))
             raise PreferenceCycleError(
                 f"preferences are cyclic: {lo} and {hi} would each be "
                 "preferred over the other"
             )
-    return frozenset(closed)
+    return frozenset((lo, hi) for lo, reach in closure.items() for hi in reach)
 
 
-_TOKEN_KINDS = (
-    ("IMPL", ":-"),
-    ("DOT", "."),
-    ("COMMA", ","),
-    ("COLON", ":"),
-    ("LT", "<"),
-    ("DASH", "-"),
-)
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of ID, IMPL, DOT, COMMA, COLON, LT, DASH, NL, EOF
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            tokens.append(_Token("NL", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _ATOM_RE.match(text, i)
-        if m and m.start() == i:
-            token = m.group(0)
-            tokens.append(_Token("ID", token, line, col))
-            breaks = token.count("\n")  # an argument part may span lines
-            line += breaks
-            col = len(token) - token.rfind("\n") if breaks else col + len(token)
-            i = m.end()
-            continue
-        for kind, lexeme in _TOKEN_KINDS:
-            if text.startswith(lexeme, i):
-                tokens.append(_Token(kind, lexeme, line, col))
-                i += len(lexeme)
-                col += len(lexeme)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], allow_reserved: bool):
-        self.tokens = tokens
-        self.pos = 0
-        self.allow_reserved = allow_reserved
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.line, tok.column)
-        return tok
-
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
-    def skip_newlines(self) -> None:
-        while self.peek().kind == "NL":
-            self.next()
-
-    def atom(self) -> str:
-        tok = self.expect("ID", "an atom")
-        if tok.text == "not":
-            raise ParseError("'not' is a keyword, not an atom", tok.line, tok.column)
-        if tok.text.startswith(RESERVED_PREFIX) and not self.allow_reserved:
-            raise ParseError(
-                f"atom {tok.text!r} uses the reserved {RESERVED_PREFIX!r} prefix",
-                tok.line,
-                tok.column,
-            )
-        return tok.text
-
-    def literal(self) -> Literal:
-        if self.peek().kind == "DASH":
-            self.next()
-            return Literal(self.atom(), positive=False)
-        return Literal(self.atom(), positive=True)
-
-    def body(self) -> tuple[set[Literal], set[Literal]]:
-        pos: set[Literal] = set()
-        neg: set[Literal] = set()
-        while True:
-            if self.peek().kind == "ID" and self.peek().text == "not":
-                self.next()
-                neg.add(self.literal())
+def _reachable(
+    start: Iterable[str], succ: dict[str, list[str]], closure: dict[str, set[str]]
+) -> set[str]:
+    """Every label reachable from ``start`` along ``succ``, ``start``
+    included; a label in ``closure`` contributes its known reach at once."""
+    seen: set[str] = set()
+    stack = list(start)
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            known = closure.get(name)
+            if known is None:
+                stack.extend(succ.get(name, ()))
             else:
-                pos.add(self.literal())
-            if self.peek().kind == "COMMA":
-                self.next()
-                continue
-            return pos, neg
+                seen |= known
+    return seen
 
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind == "DOT":
-            self.next()
-        elif tok.kind in ("NL", "EOF"):
-            pass  # one statement per line is also accepted
-        else:
-            self.fail(f"expected '.' or end of line, found {tok.text!r}")
+
+# Each match skips blanks and comments, then captures one token: an
+# identifier (a label, or an atom with its argument part), a punctuation
+# mark, a newline, any other single character (it starts no token and is
+# reported), or the empty string at the end of the text.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:%[^\n]*)?"
+    r"([A-Za-z_][A-Za-z0-9_]*(?:\([^()]*\))?|:-|[.,:<\n-]|.|\Z)"
+)
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_PUNCTUATION = frozenset((":-", ".", ",", ":", "<", "-", "\n"))
+
+
+def _error(text: str, tokens: list[str], k: int, message: str) -> ParseError:
+    """The error for token ``k``, located by scanning the text once more.
+
+    A character that starts no token anywhere in the text is reported in
+    its place: the grammar cannot accept such a text, and the first of
+    them is the first error a reader meets.
+    """
+    for j, tok in enumerate(tokens):
+        if len(tok) == 1 and tok not in _ID_START and tok not in _PUNCTUATION:
+            k, message = j, f"unexpected character {tok!r}"
+            break
+    for _, m in zip(range(k + 1), _TOKEN_RE.finditer(text)):
+        pass
+    offset = m.start(1)
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_program(text: str, allow_reserved: bool = False) -> PrefProgram:
@@ -334,59 +256,102 @@ def parse_program(text: str, allow_reserved: bool = False) -> PrefProgram:
     ``allow_reserved`` to accept ``__``-prefixed atoms, e.g. when reading
     back a generated program.
     """
-    parser = _Parser(_tokenize(text), allow_reserved)
+    tokens = _TOKEN_RE.findall(text)  # ends with "" for the end of input
+    literals: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
+
+    def expected(k: int, what: str) -> ParseError:
+        return _error(text, tokens, k, f"expected {what}, found {tokens[k] or 'end of input'!r}")
+
+    def literal(k: int) -> tuple[Literal, int]:
+        """The literal starting at token ``k`` and the index after it."""
+        positive = tokens[k] != "-"
+        if not positive:
+            k += 1
+        atom = tokens[k]
+        lit = literals[positive].get(atom)
+        if lit is None:
+            if atom[:1] not in _ID_START:
+                raise expected(k, "an atom")
+            if atom == "not":
+                raise _error(text, tokens, k, "'not' is a keyword, not an atom")
+            if atom.startswith(RESERVED_PREFIX) and not allow_reserved:
+                raise _error(
+                    text, tokens, k,
+                    f"atom {atom!r} uses the reserved {RESERVED_PREFIX!r} prefix",
+                )
+            lit = literals[positive][atom] = Literal(atom, positive)
+        return lit, k + 1
+
+    def end_statement(k: int) -> int:
+        tok = tokens[k]
+        if tok == ".":
+            return k + 1
+        if tok == "\n" or not tok:  # one statement per line is also accepted
+            return k
+        raise _error(text, tokens, k, f"expected '.' or end of line, found {tok!r}")
+
     rules: list[Rule] = []
-    seen_labels: dict[str, int] = {}
+    seen_labels: set[str] = set()
     seen_bodies: set[tuple[Literal, frozenset[Literal], frozenset[Literal]]] = set()
     raw_pairs: list[tuple[str, str]] = []
-    pair_positions: list[tuple[int, int]] = []
-
+    pair_at: list[int] = []  # token index of each pair's first label
+    i = 0
     while True:
-        parser.skip_newlines()
-        if parser.peek().kind == "EOF":
-            break
-        tok = parser.expect("ID", "a rule label")
-        label = tok.text
-        if not _LABEL_RE.fullmatch(label):
-            raise ParseError(f"invalid label {label!r}", tok.line, tok.column)
-        after = parser.next()
-        if after.kind == "LT":
-            other = parser.expect("ID", "a rule label")
-            raw_pairs.append((label, other.text))
-            pair_positions.append((tok.line, tok.column))
-            parser.end_statement()
+        label = tokens[i]
+        if label == "\n":
+            i += 1
             continue
-        if after.kind != "COLON":
-            raise ParseError(
-                f"expected ':' or '<' after label {label!r}", after.line, after.column
-            )
+        if not label:
+            break
+        if label[:1] not in _ID_START:
+            raise expected(i, "a rule label")
+        if "(" in label:
+            raise _error(text, tokens, i, f"invalid label {label!r}")
+        label_at = i
+        after = tokens[i + 1]
+        i += 2
+        if after == "<":
+            if tokens[i][:1] not in _ID_START:
+                raise expected(i, "a rule label")
+            raw_pairs.append((label, tokens[i]))
+            pair_at.append(label_at)
+            i = end_statement(i + 1)
+            continue
+        if after != ":":
+            raise _error(text, tokens, i - 1, f"expected ':' or '<' after label {label!r}")
         if label in seen_labels:
-            raise ParseError(f"duplicate rule label {label!r}", tok.line, tok.column)
-        head = parser.literal()
-        pos: set[Literal] = set()
-        neg: set[Literal] = set()
-        if parser.peek().kind == "IMPL":
-            parser.next()
-            pos, neg = parser.body()
-        parser.end_statement()
+            raise _error(text, tokens, label_at, f"duplicate rule label {label!r}")
+        head, i = literal(i)
+        pos: list[Literal] = []
+        neg: list[Literal] = []
+        if tokens[i] == ":-":
+            while True:
+                i += 1
+                if tokens[i] == "not":
+                    lit, i = literal(i + 1)
+                    neg.append(lit)
+                else:
+                    lit, i = literal(i)
+                    pos.append(lit)
+                if tokens[i] != ",":
+                    break
+        i = end_statement(i)
         rule = Rule(label, head, frozenset(pos), frozenset(neg))
-        key = (rule.head, rule.pos_body, rule.neg_body)
+        key = (head, rule.pos_body, rule.neg_body)
         if key in seen_bodies:
-            raise ParseError(
+            raise _error(
+                text, tokens, label_at,
                 f"rule {label!r} duplicates an earlier rule (same head and body)",
-                tok.line,
-                tok.column,
             )
         seen_bodies.add(key)
-        seen_labels[label] = tok.line
+        seen_labels.add(label)
         rules.append(rule)
 
-    labels = {r.label for r in rules}
-    for (lo, hi), (line, col) in zip(raw_pairs, pair_positions):
+    for (lo, hi), k in zip(raw_pairs, pair_at):
         for name in (lo, hi):
-            if name not in labels:
-                raise ParseError(f"preference names unknown rule label {name!r}", line, col)
-    closed = close_preferences(raw_pairs, labels)
+            if name not in seen_labels:
+                raise _error(text, tokens, k, f"preference names unknown rule label {name!r}")
+    closed = close_preferences(raw_pairs, seen_labels)
     return PrefProgram(tuple(rules), closed, tuple(raw_pairs))
 
 

@@ -52,6 +52,29 @@ def test_non_utf8_file_is_a_clean_error(command, tmp_path, capsys):
     assert line.startswith("prefas: ") and str(path) in line and "UTF-8" in line
 
 
+@pytest.mark.parametrize("command", ["solve", "transform", "check"])
+def test_file_with_a_byte_order_mark_is_read(command, tmp_path, capsys):
+    plain = tmp_path / "plain.lpp"
+    plain.write_text(fixtures.INDIRECT_CONFLICT, encoding="utf-8")
+    marked = tmp_path / "marked.lpp"
+    marked.write_text(fixtures.INDIRECT_CONFLICT, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    want = main([command, str(plain)])
+    want_out = capsys.readouterr().out.replace(str(plain), "FILE")
+    assert main([command, str(marked)]) == want
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.replace(str(marked), "FILE") == want_out
+
+
+def test_non_utf8_file_with_a_byte_order_mark_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "bad.lpp"
+    path.write_bytes(b"\xef\xbb\xbfr1: a.\n\xff\n")
+    assert main(["solve", str(path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("prefas: ") and str(path) in line and "UTF-8" in line
+
+
 def test_file_and_random_together_is_a_clean_error(capsys, program_file):
     assert main(["check", program_file, "--random", "--count", "1"]) == 2
     captured = capsys.readouterr()

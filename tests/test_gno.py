@@ -1,15 +1,19 @@
-from helpers import gno_fixpoint_subsets, lits, literal_families, small_programs
+import random
+
+import pytest
+from helpers import even_loops, gno_fixpoint_subsets, lit, lits, literal_families, small_programs
 from hypothesis import given, settings
 
 from prefas import fixtures
-from prefas.base import answer_sets, is_stratified
+from prefas.base import answer_sets, generating_sets, is_stratified, minpos
 from prefas.gno import (
     preferred_answer_sets_gno,
     preferred_generating_sets_gno,
     reduct_gno,
     trules,
 )
-from prefas.syntax import PrefProgram, close_preferences
+from prefas.syntax import PrefProgram, Rule, close_preferences
+from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
 BE = fixtures.load("brewka_eiter")
@@ -78,6 +82,55 @@ class TestPreferredAnswerSetsGno:
         assert literal_families(preferred_answer_sets_gno(p)) <= literal_families(
             preferred_answer_sets_gno(weaker)
         )
+
+
+def loops_with_tail(seed):
+    """Three even loops, for many generating sets, plus rules that read the
+    loop atoms through positive and negative bodies, all under a random
+    preference order of density 0.5."""
+    rng = random.Random(seed)
+    loops = even_loops(3, seed)
+    atoms = sorted(loops.atoms) + ["c", "d"]
+    rules = list(loops.rules)
+    seen = {(r.head, r.pos_body, r.neg_body) for r in rules}
+    while len(rules) < 11:
+        head = lit(rng.choice(atoms))
+        pos = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 2))))
+        neg = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 1))))
+        if (head, pos, neg) not in seen:
+            seen.add((head, pos, neg))
+            rules.append(Rule(f"t{len(rules)}", head, pos, neg))
+    labels = [r.label for r in rules]
+    order = rng.sample(labels, len(labels))
+    pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.5]
+    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+
+
+def _by_definition(p):
+    return [r for r in generating_sets(p) if minpos(reduct_gno(p, r)) == r]
+
+
+class TestMatchesTheDefinition:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_dense_preferences(self, seed):
+        knobs = GenParams(
+            seed=seed, n_rules=6 + seed % 7, n_atoms=4 + seed % 4, max_pos_body=seed % 3,
+            pref_density=0.9,
+        )
+        p = random_lpp(knobs)
+        assert preferred_generating_sets_gno(p) == _by_definition(p)
+
+    def test_loops_with_tail(self):
+        for seed in range(400):
+            p = loops_with_tail(seed)
+            assert preferred_generating_sets_gno(p) == _by_definition(p), seed
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("chain", [False, True])
+    def test_even_loops(self, k, seed, chain):
+        p = even_loops(k, seed, chain)
+        assert preferred_generating_sets_gno(p) == _by_definition(p)
 
 
 class TestFixpointWidening:

@@ -1,3 +1,6 @@
+import ast
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from prefas.syntax import (
     format_program,
     parse_program,
 )
+from prefas.verify import GenParams, random_lpp
 
 
 def lit(s):
@@ -69,6 +73,121 @@ def test_parse_position_after_an_argument_spanning_lines():
     with pytest.raises(ParseError) as err:
         parse_program("r1: p(a\nb).\nr2: q :- not p(a\nb).\nr3: ?")
     assert (err.value.line, err.value.column) == (5, 5)
+
+
+# one case or more per ParseError message, each with its exact position:
+# tabs and '\r' count as one column, argument parts may span lines
+ERROR_CASES = [
+    ("r1: a.\n\tr2: b ? c.", "2:8: unexpected character '?'"),
+    ("r1: a.\r\nr2: b :- $.", "2:10: unexpected character '$'"),
+    ("r1: a :- p(x.", "1:11: unexpected character '('"),
+    ("r1: a.\n  , r2: b.", "2:3: expected a rule label, found ','"),
+    ("r1: a.\nr1 < .", "2:6: expected a rule label, found '.'"),
+    ("r1: a.\nr2 <", "2:5: expected a rule label, found 'end of input'"),
+    ("r1: a :- x.\nr2: b :- , c.", "2:10: expected an atom, found ','"),
+    ("r1: a :-", "1:9: expected an atom, found 'end of input'"),
+    ("r1: a :-\n", "1:9: expected an atom, found '\\n'"),
+    ("r1: a :- not not b.", "1:14: 'not' is a keyword, not an atom"),
+    ("r1: -not.", "1:6: 'not' is a keyword, not an atom"),
+    ("r1: a :- __x.", "1:10: atom '__x' uses the reserved '__' prefix"),
+    ("r1: a.\np(x): b.", "2:1: invalid label 'p(x)'"),
+    ("r1: a.\nr2 a.", "2:4: expected ':' or '<' after label 'r2'"),
+    ("r1: a.\nr2", "2:3: expected ':' or '<' after label 'r2'"),
+    ("r1: a.\r\n\tr2: b. c", "2:10: expected ':' or '<' after label 'c'"),
+    ("r1: a b.", "1:7: expected '.' or end of line, found 'b'"),
+    ("r1: p(a\nb) :- q(\n c) d.", "3:5: expected '.' or end of line, found 'd'"),
+    ("r1: a.\nr1: b.", "2:1: duplicate rule label 'r1'"),
+    (
+        "r1: a :- b, not c.\nr2: a :- not c, b.",
+        "2:1: rule 'r2' duplicates an earlier rule (same head and body)",
+    ),
+    ("r1: a.\nr2: b.\nr1 < r9.", "3:1: preference names unknown rule label 'r9'"),
+    ("r1: a.\nr2: b.\nr9 < r1.", "3:1: preference names unknown rule label 'r9'"),
+]
+
+
+@pytest.mark.parametrize("text, message", ERROR_CASES)
+def test_parse_error_message_and_position(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+    line, column = message.split(":")[:2]
+    assert (err.value.line, err.value.column) == (int(line), int(column))
+
+
+def test_unexpected_character_is_reported_before_an_earlier_grammar_error():
+    with pytest.raises(ParseError) as err:
+        parse_program("r1 a.\nr2: b ? c.")
+    assert str(err.value) == "2:7: unexpected character '?'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r1: a :- % c\n", "1:13: expected an atom, found '\\n'"),
+        ("r1: a :- % c", "1:13: expected an atom, found 'end of input'"),
+        ("r1: a. % c\nr2 % d\n", "2:7: expected ':' or '<' after label 'r2'"),
+    ],
+)
+def test_error_after_a_comment_is_placed_past_the_comment(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
+def _offset(text, line, column):
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    return starts[line - 1] + column - 1
+
+
+# messages that quote what stands at the reported position
+_NAMED_AT_POSITION = (
+    re.compile(r"found (.+)$"),
+    re.compile(r"unexpected character (.+)$"),
+    re.compile(r"^atom (.+) uses the reserved"),
+    re.compile(r"^invalid label (.+)$"),
+    re.compile(r"^duplicate rule label (.+)$"),
+    re.compile(r"^rule (.+) duplicates an earlier rule"),
+)
+
+_MUTATIONS = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.floats(min_value=0, max_value=1, exclude_max=True),
+    st.sampled_from(["%", "% c", "\n", "\t", "\r", " ", "?", "(", ")", ":", ":-", "-",
+                     ".", ",", "<", "x", "not ", "__", "é"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_reported_position_shows_the_named_text(seed, mutations):
+    text = format_program(random_lpp(GenParams(seed=seed, pref_density=0.5)))
+    for op, where, piece in mutations:
+        i = int(where * (len(text) + 1))
+        if op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + len(piece):]
+        else:
+            text = text[:i] + piece + text[i + len(piece):]
+    try:
+        parse_program(text)
+    except ParseError as err:
+        message = str(err).split(": ", 1)[1]
+        at = text[_offset(text, err.line, err.column):]
+        if message.endswith("found 'end of input'"):
+            assert at == ""
+            return
+        if message.startswith("'not' is a keyword"):
+            assert at.startswith("not")
+            return
+        for pattern in _NAMED_AT_POSITION:
+            m = pattern.search(message)
+            if m:
+                assert at.startswith(ast.literal_eval(m.group(1)))
+                return
+    except PreferenceCycleError:
+        pass
 
 
 def test_parse_classical_negation_and_arguments():
