@@ -51,10 +51,12 @@ class Bounds:
     ``max_rules`` caps subset enumeration (generating sets and the
     preference semantics), ``max_atoms`` caps the candidate space of the
     classic-reduction oracle, and ``max_fragment_rules`` caps fragment
-    enumeration, whose lattice can hold all 2^n rule subsets.  ``from_env``
-    reads them from ``PREFAS_MAX_RULES``, ``PREFAS_MAX_ATOMS`` and
-    ``PREFAS_MAX_FRAGMENT_RULES`` and raises ``PrefasError`` on a value that
-    is not a non-negative integer.
+    enumeration, whose lattice can hold all 2^n rule subsets.  A library
+    call given no bounds uses ``DEFAULT_BOUNDS``, these defaults, and reads
+    no environment.  ``from_env`` is the command line's reader: it takes
+    ``max_rules`` from ``PREFAS_MAX_RULES`` and ``max_fragment_rules`` from
+    ``PREFAS_MAX_FRAGMENT_RULES``, keeps the default ``max_atoms``, and
+    raises ``PrefasError`` on a value that is not a non-negative integer.
     """
 
     max_rules: int = 20
@@ -73,7 +75,6 @@ class Bounds:
 
         return cls(
             max_rules=read("PREFAS_MAX_RULES", cls.max_rules),
-            max_atoms=read("PREFAS_MAX_ATOMS", cls.max_atoms),
             max_fragment_rules=read("PREFAS_MAX_FRAGMENT_RULES", cls.max_fragment_rules),
         )
 
@@ -273,7 +274,7 @@ def _check_rule_bound(n: int, bounds: Bounds) -> None:
 
 def _compiled(p: ProgramLike, bounds: Bounds | None) -> _Index:
     """The index of ``p``'s rules, once they pass ``max_rules``."""
-    bounds = bounds or Bounds.from_env()
+    bounds = bounds or DEFAULT_BOUNDS
     idx = _index(rules_of(p))
     _check_rule_bound(idx.n, bounds)
     return idx
@@ -353,7 +354,7 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
     contains literals some rule derives, so candidates range over subsets of
     the distinct head literals.
     """
-    bounds = bounds or Bounds.from_env()
+    bounds = bounds or DEFAULT_BOUNDS
     rules = rules_of(p)
     atoms = {r.head.atom for r in rules}
     for r in rules:
@@ -362,7 +363,7 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
     if len(atoms) > bounds.max_atoms:
         raise BoundExceededError(
             f"program mentions {len(atoms)} atoms; candidate enumeration is "
-            f"bounded at {bounds.max_atoms} (PREFAS_MAX_ATOMS)"
+            f"bounded at {bounds.max_atoms} (Bounds.max_atoms)"
         )
     basis: list[Literal] = []
     seen: set[Literal] = set()

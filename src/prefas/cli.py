@@ -12,23 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable
 
 from .base import AnswerSet, Bounds
 from .fragments import FragmentSet
-from .syntax import Literal, PrefasError, parse_program
+from .syntax import PrefasError, parse_program
 from .transform import format_transformed, transform
-from .verify import PROPERTIES, SEMANTICS, GenParams, check_program, fuzz, solve
+from .verify import PROPERTIES, SEMANTICS, GenParams, check_program, fuzz, solve, violation_lines
 
 PROPERTY_CHOICES = tuple(name.replace("_", "-") for name in PROPERTIES) + ("all",)
 
 
-def _set_str(literals: Iterable[Literal]) -> str:
-    return "{" + ", ".join(sorted(map(str, literals))) + "}"
-
-
 def _by_literals(solved: list) -> list:
-    return sorted(solved, key=lambda pair: _set_str(pair[0].literals))
+    return sorted(solved, key=lambda pair: str(pair[0]))
 
 
 def _read(path: str) -> str:
@@ -125,13 +120,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "properties": list(properties),
             "violations": [v.to_dict() for v in violations],
         }
-        lines = [f"check {args.file}: {', '.join(properties)}"]
-        if violations:
-            lines.append(f"  VIOLATIONS: {len(violations)}")
-            lines.extend(f"    {v}" for v in violations)
-        else:
-            lines.append("  no violations")
-        text = "\n".join(lines)
+        head = f"check {args.file}: {', '.join(properties)}"
+        text = "\n".join([head, *violation_lines(violations)])
         ok = not violations
     if args.json:
         print(json.dumps(doc, indent=2))

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .base import (
+    DEFAULT_BOUNDS,
     AnswerSet,
     Bounds,
     _answer_sets_from_masks,
@@ -90,7 +91,7 @@ class FragmentSet:
 
 def _lattice_index(p: ProgramLike, bounds: Bounds | None) -> _Index:
     """The index of ``p``'s rules, once they pass ``max_fragment_rules``."""
-    bounds = bounds or Bounds.from_env()
+    bounds = bounds or DEFAULT_BOUNDS
     idx = _index(rules_of(p))
     if idx.n > bounds.max_fragment_rules:
         raise BoundExceededError(
@@ -209,7 +210,6 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     """The generating sets R whose fragments remove every fragment outside
     R, as masks, ascending; one fragment D | R per outside part D is tested,
     as the module description explains."""
-    bounds = bounds or Bounds.from_env()
     idx = _lattice_index(p, bounds)
     less = _less_masks(p)
     everything = (1 << idx.n) - 1
@@ -238,7 +238,6 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     outside R, so the preference-free reduct returns exactly the fragments
     inside R; the tests check this against ``reduct_g``.
     """
-    bounds = bounds or Bounds.from_env()
     idx = _lattice_index(p, bounds)
     return [_witness(p, idx, idx.mask_of(r)) for r in generating_sets(p, bounds)]
 

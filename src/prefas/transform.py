@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr
+from .base import DEFAULT_BOUNDS, Bounds, _check_rule_bound, gl_is_answer_set, gr
 from .gno import preferred_answer_sets_gno, trules
 from .syntax import RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule
 
@@ -196,7 +196,7 @@ def transformed_answer_sets(
     of ``check_correspondence``: a fault in shared code would show on both
     sides of that check and cancel out.
     """
-    bounds = bounds or Bounds.from_env()
+    bounds = bounds or DEFAULT_BOUNDS
     src_rules = t.source.rules
     n = len(src_rules)
     _check_rule_bound(n, bounds)
@@ -314,7 +314,6 @@ def check_correspondence(
     ``preferred`` is the gno-preferred family of ``p`` when the caller has
     already solved it; without it the gno semantics is solved here.
     """
-    bounds = bounds or Bounds.from_env()
     t = transform(p)
     transformed = transformed_answer_sets(t, bounds)
     projected = [project(a, t) for a in transformed]

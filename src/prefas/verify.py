@@ -1,11 +1,14 @@
 """Executable property checks and the random-program fuzzer.
 
-Each check returns violation records instead of raising: a violation
-carries the program and a witness payload from which the finding can be
-re-checked independently.  ``fuzz`` drives the checks over a deterministic
-stream of random programs (one derived seed per program) and also counts
-the programs that witness the strict inclusions between the semantics.
-The checks on one program share one dict of the families that
+Every check returns a list of violation records, empty when the property
+holds, instead of raising: a violation carries the program and a witness
+payload from which the finding can be re-checked independently.  The
+properties are one table, ``_CHECKS``, whose entries all take
+``(program, bounds, draw, families)``; ``fuzz`` and ``check_program`` call
+it directly.  ``fuzz`` drives the checks over a deterministic stream of
+random programs (one derived seed per program) and also counts the
+programs that witness the strict inclusions between the semantics.  The
+checks on one program share one dict of the families that
 ``preferred_families`` solves, so each of those is solved once per program.
 """
 
@@ -15,7 +18,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from . import fixtures
 from .base import AnswerSet, Bounds, _less_masks, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
 from .fragments import FragmentSet, _lattice_index, _mask_overrides, preferred_answer_sets_g
@@ -161,19 +163,19 @@ def check_hierarchy(
 
 def check_strat_equivalence(
     p: PrefProgram, bounds: Bounds | None = None, families: Families | None = None
-) -> Violation | None:
+) -> list[Violation]:
     """On stratified programs the g semantics must ignore all preferences."""
     if not is_stratified(p):
-        return None
+        return []
     expected = preferred_families(p, "as", bounds, families)
     got = preferred_families(p, "g", bounds, families)
     if got != expected:
-        return Violation(
+        return [Violation(
             "strat_eq",
             p,
             {"answer_sets": _sorted_family(expected), "preferred_g": _sorted_family(got)},
-        )
-    return None
+        )]
+    return []
 
 
 def check_monotonicity(
@@ -182,7 +184,7 @@ def check_monotonicity(
     prefs2: Iterable[tuple[str, str]],
     bounds: Bounds | None = None,
     families: Families | None = None,
-) -> Violation | None:
+) -> list[Violation]:
     """Growing the preference relation may only shrink the preferred sets."""
     rules = rules.rules if isinstance(rules, PrefProgram) else tuple(rules)
     prefs1, prefs2 = frozenset(prefs1), frozenset(prefs2)
@@ -194,7 +196,7 @@ def check_monotonicity(
         strong = preferred_families(p2, semantics, bounds, families)
         weak = preferred_families(p1, semantics, bounds, families)
         if not strong <= weak:
-            return Violation(
+            return [Violation(
                 "monotonicity",
                 p2,
                 {
@@ -202,48 +204,48 @@ def check_monotonicity(
                     "prefs1": sorted(prefs1),
                     "escaped": _sorted_family(strong - weak),
                 },
-            )
-    return None
+            )]
+    return []
 
 
 def _check_empty_pref(
-    p: PrefProgram, bounds: Bounds | None, families: Families
-) -> Violation | None:
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> list[Violation]:
     plain = PrefProgram(p.rules)
     expected = preferred_families(plain, "as", bounds, families)
     for semantics in SEMANTICS:
         got = preferred_families(plain, semantics, bounds, families)
         if got != expected:
-            return Violation(
+            return [Violation(
                 "empty_pref",
                 plain,
                 {"semantics": semantics, "got": _sorted_family(got)},
-            )
-    return None
+            )]
+    return []
 
 
 def _check_pas_subset_as(
-    p: PrefProgram, bounds: Bounds | None, families: Families
-) -> Violation | None:
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> list[Violation]:
     expected = preferred_families(p, "as", bounds, families)
     for semantics in SEMANTICS:
         got = preferred_families(p, semantics, bounds, families)
         if not got <= expected:
-            return Violation(
+            return [Violation(
                 "pas_subset_as",
                 p,
                 {"semantics": semantics, "extra": _sorted_family(got - expected)},
-            )
-    return None
+            )]
+    return []
 
 
 def _check_transform_eq(
-    p: PrefProgram, bounds: Bounds | None, families: Families
-) -> Violation | None:
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> list[Violation]:
     report = check_correspondence(p, bounds, preferred_families(p, "gno", bounds, families))
     if report.ok:
-        return None
-    return Violation(
+        return []
+    return [Violation(
         "transform_eq",
         p,
         {
@@ -251,29 +253,33 @@ def _check_transform_eq(
             "extra": _sorted_family(report.extra),
             "embed_mismatches": len(report.embed_mismatches),
         },
-    )
+    )]
 
 
-def _check_override_asym(p: PrefProgram, bounds: Bounds | None) -> Violation | None:
+def _check_override_asym(
+    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
+) -> list[Violation]:
     idx = _lattice_index(p, bounds)
     less = _less_masks(p)
     frags = list(idx.fragments)
     for i, x in enumerate(frags):
         for y in frags[i + 1 :]:
             if _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x):
-                return Violation(
+                return [Violation(
                     "override_asym",
                     p,
                     {"x": sorted(idx.labels_of(x)), "y": sorted(idx.labels_of(y))},
-                )
-    return None
+                )]
+    return []
 
 
 # Each property runs as check(program, bounds, draw, families).  ``draw``
 # holds the generator parameters when ``fuzz`` produced the program and is
 # None for a given program; strat_eq and monotonicity derive their inputs
 # from it.  ``families`` is the dict of ``preferred_families`` that all
-# checks on the program share.
+# checks on the program share.  The adapters below look the public checks
+# up as module globals at call time, so that a wrapper installed under a
+# public name sees every call.
 
 
 def _principle1(
@@ -286,7 +292,7 @@ def _principle1(
 
 def _strat_eq(
     p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
-) -> Violation | None:
+) -> list[Violation]:
     if draw is not None:
         p = random_lpp(replace(draw, stratified=True))
     return check_strat_equivalence(p, bounds, families)
@@ -294,7 +300,7 @@ def _strat_eq(
 
 def _monotonicity(
     p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
-) -> Violation | None:
+) -> list[Violation]:
     weaker = frozenset()
     if draw is not None:
         rng = random.Random(f"{draw.seed}/aux")
@@ -307,11 +313,11 @@ _CHECKS = {
     "principle1": _principle1,
     "hierarchy": lambda p, bounds, draw, families: check_hierarchy(p, bounds, families),
     "strat_eq": _strat_eq,
-    "empty_pref": lambda p, bounds, draw, families: _check_empty_pref(p, bounds, families),
+    "empty_pref": _check_empty_pref,
     "monotonicity": _monotonicity,
-    "transform_eq": lambda p, bounds, draw, families: _check_transform_eq(p, bounds, families),
-    "override_asym": lambda p, bounds, draw, families: _check_override_asym(p, bounds),
-    "pas_subset_as": lambda p, bounds, draw, families: _check_pas_subset_as(p, bounds, families),
+    "transform_eq": _check_transform_eq,
+    "override_asym": _check_override_asym,
+    "pas_subset_as": _check_pas_subset_as,
 }
 
 PROPERTIES = tuple(_CHECKS)
@@ -323,19 +329,6 @@ def _selected(properties: tuple[str, ...]) -> list[str]:
     if unknown:
         raise ValueError(f"unknown properties: {sorted(unknown)}")
     return [name for name in _CHECKS if name in properties]
-
-
-def _run_check(
-    name: str,
-    p: PrefProgram,
-    bounds: Bounds | None,
-    draw: GenParams | None,
-    families: Families,
-) -> list[Violation]:
-    found = _CHECKS[name](p, bounds, draw, families)
-    if found is None:
-        return []
-    return found if isinstance(found, list) else [found]
 
 
 @dataclass(frozen=True)
@@ -410,6 +403,13 @@ def random_lpp(params: GenParams) -> PrefProgram:
     return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
 
 
+def violation_lines(violations: Sequence[Violation]) -> list[str]:
+    """The violations block that ends each text report of ``prefas check``."""
+    if not violations:
+        return ["  no violations"]
+    return [f"  VIOLATIONS: {len(violations)}", *(f"    {v}" for v in violations)]
+
+
 @dataclass
 class FuzzReport:
     params: GenParams
@@ -448,12 +448,7 @@ class FuzzReport:
             f"  strictness witnesses: g over gno {self.strict_g_over_gno}, "
             f"d over g {self.strict_d_over_g}"
         )
-        if self.violations:
-            lines.append(f"  VIOLATIONS: {len(self.violations)}")
-            lines.extend(f"    {v}" for v in self.violations)
-        else:
-            lines.append("  no violations")
-        return "\n".join(lines)
+        return "\n".join(lines + violation_lines(self.violations))
 
 
 def fuzz(
@@ -478,7 +473,7 @@ def fuzz(
         families: Families = {}
         for name in selected:
             report.checked[name] = report.checked.get(name, 0) + 1
-            found = _run_check(name, p, bounds, draw, families)
+            found = _CHECKS[name](p, bounds, draw, families)
             report.violations.extend(replace(v, seed=seed) for v in found)
         if "hierarchy" in selected:
             fam = {s: preferred_families(p, s, bounds, families) for s in SEMANTICS}
@@ -503,61 +498,5 @@ def check_program(
     return [
         v
         for name in _selected(tuple(properties))
-        for v in _run_check(name, p, bounds, None, families)
+        for v in _CHECKS[name](p, bounds, None, families)
     ]
-
-
-@dataclass(frozen=True)
-class FixtureReport:
-    """Behaviour of the three bundled principle fixtures.
-
-    ``independent_choices`` keeps its single answer set under d and g; the
-    gno semantics drops it (the preference relates non-conflicting rules,
-    which gno does not ignore).  ``interlocked_choices`` turns the same
-    preference into an indirect conflict, removing that set everywhere.
-    ``self_blocking_choice`` has an answer set but no preferred one.
-    """
-
-    independent: dict
-    interlocked: dict
-    self_blocking: dict
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.independent["ok"] and self.interlocked["ok"] and self.self_blocking["ok"]
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "independent_choices": self.independent,
-            "interlocked_choices": self.interlocked,
-            "self_blocking_choice": self.self_blocking,
-        }
-
-
-_SELECT = frozenset({Literal("select(a)", False), Literal("select(b)")})
-
-# (fixture, expectation on its families by semantics, "as" included), in
-# the order of FixtureReport's fields
-_PRINCIPLE_23 = (
-    ("independent_choices",
-     lambda fam: _SELECT in fam["g"] and _SELECT in fam["d"] and not fam["gno"]),
-    ("interlocked_choices",
-     lambda fam: _SELECT not in fam["g"] and _SELECT not in fam["gno"]),
-    ("self_blocking_choice",
-     lambda fam: bool(fam["as"]) and not fam["g"] and not fam["gno"]),
-)
-
-
-def check_principle_23_fixtures(bounds: Bounds | None = None) -> FixtureReport:
-    results = []
-    for name, expected in _PRINCIPLE_23:
-        p = fixtures.load(name)
-        fam = {s: preferred_families(p, s, bounds) for s in ("as", *SEMANTICS)}
-        results.append({
-            "answer_sets": _sorted_family(fam["as"]),
-            "preferred": {s: _sorted_family(fam[s]) for s in SEMANTICS},
-            "ok": expected(fam),
-        })
-    return FixtureReport(*results)

@@ -128,6 +128,28 @@ def even_loops(k: int, seed: int, chain: bool = False) -> PrefProgram:
     return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
 
 
+def loops_with_tail(seed):
+    """Three even loops, for many generating sets, plus rules that read the
+    loop atoms through positive and negative bodies, all under a random
+    preference order of density 0.5."""
+    rng = random.Random(seed)
+    loops = even_loops(3, seed)
+    atoms = sorted(loops.atoms) + ["c", "d"]
+    rules = list(loops.rules)
+    seen = {(r.head, r.pos_body, r.neg_body) for r in rules}
+    while len(rules) < 11:
+        head = lit(rng.choice(atoms))
+        pos = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 2))))
+        neg = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 1))))
+        if (head, pos, neg) not in seen:
+            seen.add((head, pos, neg))
+            rules.append(Rule(f"t{len(rules)}", head, pos, neg))
+    labels = [r.label for r in rules]
+    order = rng.sample(labels, len(labels))
+    pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.5]
+    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+
+
 MUTUAL_DEFAULTS = parse_program("r1: a :- not b.\nr2: c :- d, not b.\nr3: b :- not a.")
 FACT_CHAIN = parse_program("r1: a.\nr2: b :- a.\nr3: d :- c.")
 DIRECT_PAIR = parse_program("r1: a :- not b.\nr2: b :- not a.\nr2 < r1.")

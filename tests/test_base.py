@@ -6,6 +6,7 @@ from helpers import (
     lit,
     lits,
     literal_families,
+    loops_with_tail,
     small_programs,
     subsets_in_mask_order,
 )
@@ -167,6 +168,16 @@ class TestEnumerationMatchesDefinition:
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
         assert preferred_generating_sets_d(p) == expected
 
+    def test_preferred_generating_sets_d_on_loops_with_tail(self):
+        # several generating sets per program, where random_lpp draws have
+        # about one.  R = minpos(X) only when minpos(R) == R, so only those
+        # subsets can be fixpoints and the reduct is taken of them alone.
+        for seed in range(100):
+            p = loops_with_tail(seed)
+            closed = [r for r in subsets_in_mask_order(p) if minpos(p.rules_of(r)) == r]
+            expected = [r for r in closed if minpos(reduct_d(p, r)) == r]
+            assert preferred_generating_sets_d(p) == expected, seed
+
     @pytest.mark.parametrize("n_rules", [16, 18, 20])
     def test_answer_sets_match_the_classic_oracle(self, n_rules):
         for seed in range(10):
@@ -197,12 +208,13 @@ class TestBoundsFromEnv:
     def test_reads_the_variables(self, monkeypatch):
         monkeypatch.setenv("PREFAS_MAX_RULES", "7")
         monkeypatch.setenv("PREFAS_MAX_FRAGMENT_RULES", "")
+        monkeypatch.setenv("PREFAS_MAX_ATOMS", "3")  # no longer a variable
         assert Bounds.from_env() == Bounds(max_rules=7)
 
     @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
     def test_bad_value_names_variable_and_value(self, monkeypatch, raw):
-        monkeypatch.setenv("PREFAS_MAX_ATOMS", raw)
-        with pytest.raises(PrefasError, match=f"PREFAS_MAX_ATOMS.*{raw!r}"):
+        monkeypatch.setenv("PREFAS_MAX_RULES", raw)
+        with pytest.raises(PrefasError, match=f"PREFAS_MAX_RULES.*{raw!r}"):
             Bounds.from_env()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import prefas
 from prefas import fixtures, verify
+from prefas.base import answer_sets
 from prefas.cli import PROPERTY_CHOICES, main
 from prefas.verify import PROPERTIES
 
@@ -88,6 +89,20 @@ def test_bad_bound_value_is_a_clean_error(monkeypatch, capsys, program_file):
     err = capsys.readouterr().err
     assert err.startswith("prefas: ")
     assert "PREFAS_MAX_RULES" in err and "'abc'" in err
+
+
+def test_only_the_command_line_reads_the_bounds(monkeypatch, capsys, program_file):
+    monkeypatch.setenv("PREFAS_MAX_RULES", "2")
+    assert len(answer_sets(fixtures.load("indirect_conflict"))) == 2
+    assert main(["solve", program_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prefas: ") and "PREFAS_MAX_RULES" in err
+
+
+def test_max_atoms_is_no_variable(monkeypatch, capsys, program_file):
+    monkeypatch.setenv("PREFAS_MAX_ATOMS", "abc")
+    assert main(["solve", program_file]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

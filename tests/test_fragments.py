@@ -8,6 +8,7 @@ from helpers import (
     labelset,
     lits,
     literal_families,
+    loops_with_tail,
     small_programs,
     subsets_in_mask_order,
 )
@@ -298,6 +299,14 @@ class TestPreferredAnswerSetsG:
         # survivor, against reduct_g over the whole fragment lattice
         expected = [e for e in stable_fragment_sets(p) if reduct_g(p, e) == e]
         assert preferred_stable_fragment_sets(p) == expected
+
+    def test_preferred_sets_match_the_lattice_reduct_on_loops_with_tail(self):
+        # several generating sets per program, where random_lpp draws have
+        # about one
+        for seed in range(100):
+            p = loops_with_tail(seed)
+            expected = [e for e in stable_fragment_sets(p) if reduct_g(p, e) == e]
+            assert preferred_stable_fragment_sets(p) == expected, seed
 
     @pytest.mark.parametrize(
         "p",

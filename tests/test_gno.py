@@ -1,7 +1,12 @@
-import random
-
 import pytest
-from helpers import even_loops, gno_fixpoint_subsets, lit, lits, literal_families, small_programs
+from helpers import (
+    even_loops,
+    gno_fixpoint_subsets,
+    lits,
+    literal_families,
+    loops_with_tail,
+    small_programs,
+)
 from hypothesis import given, settings
 
 from prefas import fixtures
@@ -12,7 +17,7 @@ from prefas.gno import (
     reduct_gno,
     trules,
 )
-from prefas.syntax import PrefProgram, Rule, close_preferences
+from prefas.syntax import PrefProgram, close_preferences
 from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
@@ -82,28 +87,6 @@ class TestPreferredAnswerSetsGno:
         assert literal_families(preferred_answer_sets_gno(p)) <= literal_families(
             preferred_answer_sets_gno(weaker)
         )
-
-
-def loops_with_tail(seed):
-    """Three even loops, for many generating sets, plus rules that read the
-    loop atoms through positive and negative bodies, all under a random
-    preference order of density 0.5."""
-    rng = random.Random(seed)
-    loops = even_loops(3, seed)
-    atoms = sorted(loops.atoms) + ["c", "d"]
-    rules = list(loops.rules)
-    seen = {(r.head, r.pos_body, r.neg_body) for r in rules}
-    while len(rules) < 11:
-        head = lit(rng.choice(atoms))
-        pos = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 2))))
-        neg = frozenset(map(lit, rng.sample(atoms, rng.randint(0, 1))))
-        if (head, pos, neg) not in seen:
-            seen.add((head, pos, neg))
-            rules.append(Rule(f"t{len(rules)}", head, pos, neg))
-    labels = [r.label for r in rules]
-    order = rng.sample(labels, len(labels))
-    pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.5]
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
 
 
 def _by_definition(p):

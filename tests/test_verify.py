@@ -17,7 +17,6 @@ from prefas.verify import (
     check_hierarchy,
     check_monotonicity,
     check_principle_1,
-    check_principle_23_fixtures,
     check_program,
     check_strat_equivalence,
     fuzz,
@@ -79,19 +78,19 @@ class TestHierarchy:
 
 class TestStratEquivalence:
     def test_brewka_eiter(self):
-        assert check_strat_equivalence(BE) is None
+        assert check_strat_equivalence(BE) == []
 
     def test_non_stratified_is_vacuous(self):
         assert not is_stratified(RUN)
-        assert check_strat_equivalence(RUN) is None
+        assert check_strat_equivalence(RUN) == []
 
 
 class TestMonotonicity:
     def test_empty_versus_fixture_prefs(self):
-        assert check_monotonicity(RUN.rules, frozenset(), RUN.prefs) is None
+        assert check_monotonicity(RUN.rules, frozenset(), RUN.prefs) == []
 
     def test_equal_prefs_are_vacuous(self):
-        assert check_monotonicity(RUN.rules, RUN.prefs, RUN.prefs) is None
+        assert check_monotonicity(RUN.rules, RUN.prefs, RUN.prefs) == []
 
     def test_non_nested_prefs_are_rejected(self):
         with pytest.raises(ValueError):
@@ -110,19 +109,24 @@ class TestOverrideAsym:
         assert violation.witness == {"x": [], "y": ["r2"]}
 
 
-class TestFixtureReport:
+class TestPrincipleFixtures:
     def test_expected_families(self):
-        report = check_principle_23_fixtures()
-        assert report.ok
-        select = [["-select(a)", "select(b)"]]
-        assert report.independent["preferred"]["g"] == select
-        assert report.independent["preferred"]["d"] == select
-        assert report.independent["preferred"]["gno"] == []
-        assert report.interlocked["preferred"]["g"] == [["-select(b)", "select(a)"]]
-        assert report.interlocked["preferred"]["gno"] == [["-select(b)", "select(a)"]]
-        assert report.self_blocking["answer_sets"] == [["-select(a)"]]
-        assert report.self_blocking["preferred"]["g"] == []
-        assert report.self_blocking["preferred"]["gno"] == []
+        # independent_choices keeps its answer set under d and g, and gno
+        # drops it; interlocked_choices turns the same preference into an
+        # indirect conflict; self_blocking_choice has an answer set but no
+        # preferred one
+        independent = fixtures.load("independent_choices")
+        interlocked = fixtures.load("interlocked_choices")
+        self_blocking = fixtures.load("self_blocking_choice")
+        select = {lits("-select(a)", "select(b)")}
+        assert preferred_families(independent, "g") == select
+        assert preferred_families(independent, "d") == select
+        assert preferred_families(independent, "gno") == set()
+        assert preferred_families(interlocked, "g") == {lits("-select(b)", "select(a)")}
+        assert preferred_families(interlocked, "gno") == {lits("-select(b)", "select(a)")}
+        assert preferred_families(self_blocking, "as") == {lits("-select(a)")}
+        assert preferred_families(self_blocking, "g") == set()
+        assert preferred_families(self_blocking, "gno") == set()
 
 
 class TestRandomLpp:
