@@ -44,6 +44,11 @@ ProgramLike = Union[PrefProgram, Sequence[Rule]]
 RuleOrRules = Union[Rule, Iterable[Rule]]
 
 
+# The variable that ``Bounds.from_env`` reads for each field.  The command
+# line's bound messages name it; the library's name the field.
+BOUND_VARIABLES = dict(max_rules="PREFAS_MAX_RULES", max_fragment_rules="PREFAS_MAX_FRAGMENT_RULES")
+
+
 @dataclass(frozen=True)
 class Bounds:
     """Enumeration limits.
@@ -53,10 +58,11 @@ class Bounds:
     classic-reduction oracle, and ``max_fragment_rules`` caps fragment
     enumeration, whose lattice can hold all 2^n rule subsets.  A library
     call given no bounds uses ``DEFAULT_BOUNDS``, these defaults, and reads
-    no environment.  ``from_env`` is the command line's reader: it takes
-    ``max_rules`` from ``PREFAS_MAX_RULES`` and ``max_fragment_rules`` from
-    ``PREFAS_MAX_FRAGMENT_RULES``, keeps the default ``max_atoms``, and
-    raises ``PrefasError`` on a value that is not a non-negative integer.
+    no environment; a bound it exceeds raises ``BoundExceededError`` naming
+    the field.  ``from_env`` is the command line's reader: it takes each
+    field of ``BOUND_VARIABLES`` from its variable, keeps the default
+    ``max_atoms``, and raises ``PrefasError`` on a value that is not a
+    non-negative integer.
     """
 
     max_rules: int = 20
@@ -65,18 +71,15 @@ class Bounds:
 
     @classmethod
     def from_env(cls) -> "Bounds":
-        def read(name: str, default: int) -> int:
+        def read(field: str, name: str) -> int:
             raw = os.environ.get(name)
             if not raw:
-                return default
+                return getattr(cls, field)
             if not raw.strip().isdecimal():
                 raise PrefasError(f"{name} must be a non-negative integer, not {raw!r}")
             return int(raw)
 
-        return cls(
-            max_rules=read("PREFAS_MAX_RULES", cls.max_rules),
-            max_fragment_rules=read("PREFAS_MAX_FRAGMENT_RULES", cls.max_fragment_rules),
-        )
+        return cls(**{field: read(field, name) for field, name in BOUND_VARIABLES.items()})
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -159,25 +162,37 @@ def is_generating(p: ProgramLike, r_labels: Iterable[str]) -> bool:
     return minpos(reduct(p, members)) == members
 
 
-@dataclass(frozen=True)
 class _Index:
     """Bitmask tables for one rule tuple, shared by every semantics.
 
-    ``generating`` and ``fragments`` are computed on first use and then kept
-    with the index, so each rule tuple is scanned at most once for each.
+    Rule i of the tuple is bit i of a rule mask, and the i-th distinct head
+    literal is bit i of a head mask.  The tables are built here, and
+    ``generating`` and ``fragments`` on first use; ``_index`` keeps one
+    index per rule tuple, so each tuple is scanned at most once for each.
     """
 
-    rules: tuple[Rule, ...]
-    n: int
-    labels: tuple[str, ...]
-    position: dict[str, int]
-    head_lits: tuple[Literal, ...]
-    head_id: dict[Literal, int]
-    head_bits: tuple[int, ...]
-    pos_masks: tuple[int, ...]
-    pos_ok: tuple[bool, ...]
-    neg_hmasks: tuple[int, ...]  # negative-body literals that some rule derives
-    defeater_masks: tuple[int, ...]  # rules whose head is in rule i's negative body
+    def __init__(self, rules: tuple[Rule, ...]):
+        self.n = len(rules)
+        self.labels = tuple(r.label for r in rules)
+        self.position = {label: i for i, label in enumerate(self.labels)}
+        head_id: dict[Literal, int] = {}
+        for r in rules:
+            head_id.setdefault(r.head, len(head_id))
+        self.head_lits = tuple(head_id)
+        self.head_bits = tuple(1 << head_id[r.head] for r in rules)
+        self.pos_masks = tuple(
+            sum(1 << head_id[l] for l in r.pos_body if l in head_id) for r in rules
+        )
+        self.pos_ok = tuple(all(l in head_id for l in r.pos_body) for r in rules)
+        # negative-body literals that some rule derives
+        self.neg_hmasks = tuple(
+            sum(1 << head_id[l] for l in r.neg_body if l in head_id) for r in rules
+        )
+        # rules whose head is in rule i's negative body
+        self.defeater_masks = tuple(
+            sum(1 << j for j, other in enumerate(rules) if other.head in r.neg_body)
+            for r in rules
+        )
 
     def mask_of(self, labels: Iterable[str]) -> int:
         return sum(1 << self.position[l] for l in set(labels))
@@ -194,11 +209,6 @@ class _Index:
             bits |= table[low.bit_length() - 1]
             mask ^= low
         return bits
-
-    def literals_of_head_bits(self, bits: int) -> frozenset[Literal]:
-        return frozenset(
-            self.head_lits[j] for j in range(len(self.head_lits)) if bits >> j & 1
-        )
 
     def minpos_mask(self, members: int) -> int:
         return kernels.minpos(members, self.head_bits, self.pos_masks, self.pos_ok)
@@ -228,55 +238,23 @@ class _Index:
 
 # Small: an index keeps its fragment lattice, up to 2^n masks.  A fuzz step
 # uses two rule tuples, the drawn one and its stratified redraw.
-@lru_cache(maxsize=4)
-def _index(rules: tuple[Rule, ...]) -> _Index:
-    n = len(rules)
-    head_lits: list[Literal] = []
-    head_id: dict[Literal, int] = {}
-    for r in rules:
-        if r.head not in head_id:
-            head_id[r.head] = len(head_lits)
-            head_lits.append(r.head)
-    head_bits = tuple(1 << head_id[r.head] for r in rules)
-    pos_masks = tuple(
-        sum(1 << head_id[l] for l in r.pos_body if l in head_id) for r in rules
-    )
-    pos_ok = tuple(all(l in head_id for l in r.pos_body) for r in rules)
-    neg_hmasks = tuple(
-        sum(1 << head_id[l] for l in r.neg_body if l in head_id) for r in rules
-    )
-    defeater_masks = tuple(
-        sum(1 << j for j, other in enumerate(rules) if other.head in r.neg_body)
-        for r in rules
-    )
-    return _Index(
-        rules=rules,
-        n=n,
-        labels=tuple(r.label for r in rules),
-        position={r.label: i for i, r in enumerate(rules)},
-        head_lits=tuple(head_lits),
-        head_id=head_id,
-        head_bits=head_bits,
-        pos_masks=pos_masks,
-        pos_ok=pos_ok,
-        neg_hmasks=neg_hmasks,
-        defeater_masks=defeater_masks,
-    )
+_index = lru_cache(maxsize=4)(_Index)
 
 
-def _check_rule_bound(n: int, bounds: Bounds) -> None:
-    if n > bounds.max_rules:
+def _check_rule_bound(n: int, bounds: Bounds | None, field: str = "max_rules") -> None:
+    """Raise when ``n`` rules exceed the rule bound ``field`` of ``bounds``."""
+    limit = getattr(bounds or DEFAULT_BOUNDS, field)
+    if n > limit:
+        kind = "fragment" if field == "max_fragment_rules" else "subset"
         raise BoundExceededError(
-            f"program has {n} rules; subset enumeration is bounded at "
-            f"{bounds.max_rules} (PREFAS_MAX_RULES)"
+            f"program has {n} rules; {kind} enumeration is bounded at {limit}", field
         )
 
 
-def _compiled(p: ProgramLike, bounds: Bounds | None) -> _Index:
-    """The index of ``p``'s rules, once they pass ``max_rules``."""
-    bounds = bounds or DEFAULT_BOUNDS
+def _compiled(p: ProgramLike, bounds: Bounds | None, field: str = "max_rules") -> _Index:
+    """The index of ``p``'s rules, once they pass the rule bound ``field``."""
     idx = _index(rules_of(p))
-    _check_rule_bound(idx.n, bounds)
+    _check_rule_bound(idx.n, bounds, field)
     return idx
 
 
@@ -308,7 +286,8 @@ def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet
     out: list[AnswerSet] = []
     seen: set[frozenset[Literal]] = set()
     for m in masks:
-        lits = idx.literals_of_head_bits(idx.or_of(m, idx.head_bits))
+        bits = idx.or_of(m, idx.head_bits)
+        lits = frozenset(l for j, l in enumerate(idx.head_lits) if bits >> j & 1)
         if not is_consistent(lits) or lits in seen:
             continue
         seen.add(lits)
@@ -363,7 +342,8 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
     if len(atoms) > bounds.max_atoms:
         raise BoundExceededError(
             f"program mentions {len(atoms)} atoms; candidate enumeration is "
-            f"bounded at {bounds.max_atoms} (Bounds.max_atoms)"
+            f"bounded at {bounds.max_atoms}",
+            "max_atoms",
         )
     basis: list[Literal] = []
     seen: set[Literal] = set()

@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 
-from .base import AnswerSet, Bounds
-from .fragments import FragmentSet
-from .syntax import PrefasError, parse_program
+from .base import BOUND_VARIABLES, AnswerSet, Bounds
+from .fragments import FragmentFamily
+from .syntax import BoundExceededError, PrefasError, parse_program
 from .transform import format_transformed, transform
 from .verify import PROPERTIES, SEMANTICS, GenParams, check_program, fuzz, solve, violation_lines
 
@@ -35,10 +35,10 @@ def _read(path: str) -> str:
         raise PrefasError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
-def _witness(a: AnswerSet, e: FragmentSet | None) -> dict:
+def _witness(a: AnswerSet, e: FragmentFamily | None) -> dict:
     w = {"literals": sorted(map(str, a.literals)), "generating": sorted(a.generating)}
     if e is not None:
-        w["fragments"] = sorted(sorted(f) for f in e.members)
+        w["fragments"] = sorted(sorted(f) for f in e)
     return w
 
 
@@ -176,7 +176,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except (PrefasError, OSError) as err:
-        print(f"prefas: {err}", file=sys.stderr)
+        text = str(err)
+        if isinstance(err, BoundExceededError) and err.field in BOUND_VARIABLES:
+            text = f"{err.reason} ({BOUND_VARIABLES[err.field]})"
+        print(f"prefas: {text}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,7 @@ fragment semantics (``g``) and the ``gno`` semantics refine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import kernels
 from .base import AnswerSet, Bounds, _answer_sets_from_masks, _compiled, _Index, _less_masks
@@ -24,9 +24,9 @@ def directly_conflicting(r1: Rule, r2: Rule) -> bool:
     return r1.head in r2.neg_body and r2.head in r1.neg_body
 
 
-def directly_overrides(r1: Rule, r2: Rule, prefs: Iterable[tuple[str, str]]) -> bool:
-    """r1 wins a direct conflict against a less preferred r2."""
-    return directly_conflicting(r1, r2) and (r2.label, r1.label) in set(prefs)
+def directly_overrides(r1: Rule, r2: Rule, prefs: Collection[tuple[str, str]]) -> bool:
+    """r1 wins a direct conflict against r2, less preferred in ``prefs``."""
+    return directly_conflicting(r1, r2) and (r2.label, r1.label) in prefs
 
 
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, Sequence[int]]:

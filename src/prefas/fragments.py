@@ -40,65 +40,37 @@ programs with the same rules.
 
 Like ``direct`` and ``gno``, ``_preferred_masks`` returns the preferred
 generating sets as masks, and the answer sets come from the shared dedup
-step ``_answer_sets_from_masks``; each one's witness is the fragments
-inside its generating set.
+step ``_answer_sets_from_masks``.  Each one's witness, like a stable
+fragment set and the result of ``reduct_g``, is a ``FragmentFamily``, a
+frozenset of label sets; its union and heads are the ``AnswerSet``'s
+``generating`` and ``literals``.  ``mutual_override`` returns the first
+pair of fragments that override each other, which must not exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .base import (
-    DEFAULT_BOUNDS,
     AnswerSet,
     Bounds,
+    ProgramLike,
     _answer_sets_from_masks,
-    _index,
+    _compiled,
     _Index,
     _less_masks,
     generating_sets,
     minpos,
     rules_of,
 )
-from .syntax import BoundExceededError, Literal, PrefProgram, Rule
+from .syntax import PrefProgram
 
-ProgramLike = Union[PrefProgram, Sequence[Rule]]
-
-
-@dataclass(frozen=True)
-class FragmentSet:
-    """A family of fragments with its union and head set precomputed."""
-
-    members: frozenset[frozenset[str]]
-    union: frozenset[str]
-    heads: frozenset[Literal]
-
-    @classmethod
-    def build(cls, p: ProgramLike, members: Iterable[frozenset[str]]) -> "FragmentSet":
-        members = frozenset(frozenset(m) for m in members)
-        union = frozenset(l for m in members for l in m)
-        by_label = {r.label: r for r in rules_of(p)}
-        heads = frozenset(by_label[l].head for l in union)
-        return cls(members, union, heads)
-
-    def __contains__(self, member: frozenset[str]) -> bool:
-        return member in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
+FragmentFamily = frozenset[frozenset[str]]
 
 
 def _lattice_index(p: ProgramLike, bounds: Bounds | None) -> _Index:
     """The index of ``p``'s rules, once they pass ``max_fragment_rules``."""
-    bounds = bounds or DEFAULT_BOUNDS
-    idx = _index(rules_of(p))
-    if idx.n > bounds.max_fragment_rules:
-        raise BoundExceededError(
-            f"program has {idx.n} rules; fragment enumeration is bounded at "
-            f"{bounds.max_fragment_rules} (PREFAS_MAX_FRAGMENT_RULES)"
-        )
-    return idx
+    return _compiled(p, bounds, "max_fragment_rules")
 
 
 def fragments(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
@@ -169,24 +141,40 @@ def _removed(idx: _Index, less: Sequence[int], x: int, e_masks: Sequence[int]) -
     )
 
 
-def reduct_g(p: PrefProgram, e: FragmentSet | Iterable[frozenset[str]],
-             bounds: Bounds | None = None) -> FragmentSet:
-    """Preference-aware fragment reduct of the full fragment lattice w.r.t. e.
+def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
+             bounds: Bounds | None = None) -> FragmentFamily:
+    """Preference-aware fragment reduct of the full fragment lattice w.r.t.
+    the fragments ``e``, each given by its labels.
 
     With empty preferences no fragment ever overrides another, so this is
     also the plain reduct that defines stable fragment sets.
     """
-    members = e.members if isinstance(e, FragmentSet) else frozenset(map(frozenset, e))
     idx = _lattice_index(p, bounds)
     e_masks = []
-    for m in members:
+    for m in e:
         mask = idx.mask_of(m)
         if mask not in idx.fragments:
             raise ValueError(f"{sorted(m)} is not a fragment of the program")
         e_masks.append(mask)
     less = _less_masks(p)
-    kept = [x for x in idx.fragments if not _removed(idx, less, x, e_masks)]
-    return FragmentSet.build(p, (idx.labels_of(m) for m in kept))
+    return frozenset(
+        idx.labels_of(x) for x in idx.fragments if not _removed(idx, less, x, e_masks)
+    )
+
+
+def mutual_override(
+    p: PrefProgram, bounds: Bounds | None = None
+) -> tuple[frozenset[str], frozenset[str]] | None:
+    """The first pair of fragments x < y in bitmask order that override
+    each other, or None when overriding is asymmetric, as it must be."""
+    idx = _lattice_index(p, bounds)
+    less = _less_masks(p)
+    frags = list(idx.fragments)
+    for i, x in enumerate(frags):
+        for y in frags[i + 1 :]:
+            if _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x):
+                return idx.labels_of(x), idx.labels_of(y)
+    return None
 
 
 def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
@@ -226,12 +214,12 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     return idx, out
 
 
-def _witness(p: ProgramLike, idx: _Index, r: int) -> FragmentSet:
+def _witness(idx: _Index, r: int) -> FragmentFamily:
     """The fragments inside the generating set ``r``."""
-    return FragmentSet.build(p, (idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r)))
+    return frozenset(idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r))
 
 
-def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentSet]:
+def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentFamily]:
     """One stable fragment set per generating set: all fragments inside it.
 
     A generating set R defeats none of its own fragments and every fragment
@@ -239,26 +227,26 @@ def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[F
     inside R; the tests check this against ``reduct_g``.
     """
     idx = _lattice_index(p, bounds)
-    return [_witness(p, idx, idx.mask_of(r)) for r in generating_sets(p, bounds)]
+    return [_witness(idx, idx.mask_of(r)) for r in generating_sets(p, bounds)]
 
 
 def preferred_stable_fragment_sets(
     p: PrefProgram, bounds: Bounds | None = None
-) -> list[FragmentSet]:
+) -> list[FragmentFamily]:
     """Stable fragment sets fixed by the preference-aware reduct: the
     fragments inside each generating set that ``_preferred_masks`` keeps.
     The tests check this against ``reduct_g``."""
     idx, masks = _preferred_masks(p, bounds)
-    return [_witness(p, idx, r) for r in masks]
+    return [_witness(idx, r) for r in masks]
 
 
 def preferred_answer_sets_g(
     p: PrefProgram, bounds: Bounds | None = None
-) -> list[tuple[AnswerSet, FragmentSet]]:
+) -> list[tuple[AnswerSet, FragmentFamily]]:
     """Preferred answer sets, each with the fragments inside its generating
     set as the witnessing preferred stable fragment set."""
     idx, masks = _preferred_masks(p, bounds)
     return [
-        (a, _witness(p, idx, idx.mask_of(a.generating)))
+        (a, _witness(idx, idx.mask_of(a.generating)))
         for a in _answer_sets_from_masks(idx, masks)
     ]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 RESERVED_PREFIX = "__"
 
@@ -64,7 +64,12 @@ class PreferenceCycleError(PrefasError):
 
 
 class BoundExceededError(PrefasError):
-    """An enumeration bound was exceeded; see ``prefas.base.Bounds``."""
+    """An enumeration bound was exceeded; the message is ``reason`` and the
+    name of ``field``, the ``prefas.base.Bounds`` field that holds it."""
+
+    def __init__(self, reason: str, field: str):
+        super().__init__(f"{reason} (Bounds.{field})")
+        self.reason, self.field = reason, field
 
 
 @dataclass(frozen=True, order=True)
@@ -130,12 +135,6 @@ class PrefProgram:
 
     def __hash__(self) -> int:
         return hash(self._identity)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     @cached_property
     def by_label(self) -> dict[str, Rule]:

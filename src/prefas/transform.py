@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .base import DEFAULT_BOUNDS, Bounds, _check_rule_bound, gl_is_answer_set, gr
+from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr
 from .gno import preferred_answer_sets_gno, trules
-from .syntax import RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule
+from .syntax import RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule, format_program
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,6 @@ class TransformedProgram:
     name_atoms: dict[str, str]  # source rule label -> n_r atom
     shadow_atoms: dict[tuple[Literal, str], str]  # (literal, rule label) -> x^r atom
     inc_atom: str
-    source_atoms: frozenset[str]
     forms: dict[str, int]  # output rule label -> 1..4
 
     def rules_of_form(self, form: int) -> tuple[Rule, ...]:
@@ -117,14 +116,13 @@ def transform(p: PrefProgram) -> TransformedProgram:
         name_atoms=name_atoms,
         shadow_atoms=shadow_atoms,
         inc_atom=inc_atom,
-        source_atoms=p.atoms,
         forms=forms,
     )
 
 
 def project(a: Iterable[Literal], t: TransformedProgram) -> frozenset[Literal]:
     """Restrict a literal set of the transformed program to source literals."""
-    return frozenset(l for l in a if l.atom in t.source_atoms)
+    return frozenset(l for l in a if l.atom in t.source.atoms)
 
 
 def embed(
@@ -196,7 +194,6 @@ def transformed_answer_sets(
     of ``check_correspondence``: a fault in shared code would show on both
     sides of that check and cancel out.
     """
-    bounds = bounds or DEFAULT_BOUNDS
     src_rules = t.source.rules
     n = len(src_rules)
     _check_rule_bound(n, bounds)
@@ -338,6 +335,4 @@ def check_correspondence(
 
 def format_transformed(t: TransformedProgram) -> str:
     """Render the transformed program in the ordinary grammar."""
-    from .syntax import format_program
-
     return format_program(PrefProgram(t.program))

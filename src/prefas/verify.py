@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .base import AnswerSet, Bounds, _less_masks, answer_sets, gr, is_stratified
+from .base import AnswerSet, Bounds, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
-from .fragments import FragmentSet, _lattice_index, _mask_overrides, preferred_answer_sets_g
+from .fragments import FragmentFamily, mutual_override, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
@@ -33,7 +33,7 @@ Families = dict[tuple[PrefProgram, str], frozenset[frozenset[Literal]]]
 
 def solve(
     p: PrefProgram, semantics: str, bounds: Bounds | None = None
-) -> list[tuple[AnswerSet, FragmentSet | None]]:
+) -> list[tuple[AnswerSet, FragmentFamily | None]]:
     """The answer sets of ``p`` under ``semantics`` (``"as"`` or one of
     ``SEMANTICS``), each paired with its fragment set under ``g``, else None.
     The CLI and the checks both dispatch on the semantics here."""
@@ -259,18 +259,10 @@ def _check_transform_eq(
 def _check_override_asym(
     p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
 ) -> list[Violation]:
-    idx = _lattice_index(p, bounds)
-    less = _less_masks(p)
-    frags = list(idx.fragments)
-    for i, x in enumerate(frags):
-        for y in frags[i + 1 :]:
-            if _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x):
-                return [Violation(
-                    "override_asym",
-                    p,
-                    {"x": sorted(idx.labels_of(x)), "y": sorted(idx.labels_of(y))},
-                )]
-    return []
+    pair = mutual_override(p, bounds)
+    if pair is None:
+        return []
+    return [Violation("override_asym", p, {"x": sorted(pair[0]), "y": sorted(pair[1])})]
 
 
 # Each property runs as check(program, bounds, draw, families).  ``draw``

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from helpers import (
     FACT_CHAIN,
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 
 from prefas import fixtures, kernels
 from prefas.base import (
+    BOUND_VARIABLES,
     AnswerSet,
     Bounds,
     _index,
@@ -211,6 +214,13 @@ class TestBoundsFromEnv:
         monkeypatch.setenv("PREFAS_MAX_ATOMS", "3")  # no longer a variable
         assert Bounds.from_env() == Bounds(max_rules=7)
 
+    def test_each_variable_sets_its_field(self, monkeypatch):
+        for field, name in BOUND_VARIABLES.items():
+            for other in BOUND_VARIABLES.values():
+                monkeypatch.delenv(other, raising=False)
+            monkeypatch.setenv(name, "3")
+            assert Bounds.from_env() == replace(Bounds(), **{field: 3})
+
     @pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
     def test_bad_value_names_variable_and_value(self, monkeypatch, raw):
         monkeypatch.setenv("PREFAS_MAX_RULES", raw)
@@ -260,8 +270,10 @@ class TestClassicOracle:
         assert answer_sets(p) == []
 
     def test_atom_bound_is_enforced(self):
-        with pytest.raises(BoundExceededError):
+        expected = r"bounded at 3 \(Bounds\.max_atoms\)$"
+        with pytest.raises(BoundExceededError, match=expected) as raised:
             gl_answer_sets(CAR, Bounds(max_atoms=3))
+        assert raised.value.field == "max_atoms"
 
     @settings(max_examples=200, deadline=None)
     @given(small_programs())

@@ -99,6 +99,46 @@ def test_only_the_command_line_reads_the_bounds(monkeypatch, capsys, program_fil
     assert err.startswith("prefas: ") and "PREFAS_MAX_RULES" in err
 
 
+@pytest.mark.parametrize(
+    "variable, argv, message",
+    [
+        (
+            "PREFAS_MAX_RULES",
+            ["solve"],
+            "program has 3 rules; subset enumeration is bounded at 2 (PREFAS_MAX_RULES)",
+        ),
+        (
+            "PREFAS_MAX_RULES",
+            ["check", "--property", "transform-eq"],
+            "program has 3 rules; subset enumeration is bounded at 2 (PREFAS_MAX_RULES)",
+        ),
+        (
+            "PREFAS_MAX_FRAGMENT_RULES",
+            ["solve", "--semantics", "g"],
+            "program has 3 rules; fragment enumeration is bounded at 2 "
+            "(PREFAS_MAX_FRAGMENT_RULES)",
+        ),
+        (
+            "PREFAS_MAX_FRAGMENT_RULES",
+            ["check", "--property", "override-asym"],
+            "program has 3 rules; fragment enumeration is bounded at 2 "
+            "(PREFAS_MAX_FRAGMENT_RULES)",
+        ),
+    ],
+    ids=["rules-solve", "rules-transform-eq", "fragments-solve-g", "fragments-override-asym"],
+)
+def test_exceeded_bound_names_its_variable(monkeypatch, capsys, program_file, variable, argv,
+                                           message):
+    # the library names the Bounds field; the command names the variable
+    monkeypatch.delenv("PREFAS_MAX_RULES", raising=False)
+    monkeypatch.delenv("PREFAS_MAX_FRAGMENT_RULES", raising=False)
+    monkeypatch.setenv(variable, "2")
+    assert main([argv[0], program_file, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"prefas: {message}\n"
+
+
 def test_max_atoms_is_no_variable(monkeypatch, capsys, program_file):
     monkeypatch.setenv("PREFAS_MAX_ATOMS", "abc")
     assert main(["solve", program_file]) == 0

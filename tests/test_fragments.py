@@ -26,12 +26,12 @@ from prefas.base import (
     is_stratified,
 )
 from prefas.fragments import (
-    FragmentSet,
     _lattice_index,
     _mask_overrides,
     conflicting,
     fragments,
     is_fragment,
+    mutual_override,
     overrides,
     preferred_answer_sets_g,
     preferred_stable_fragment_sets,
@@ -53,6 +53,14 @@ F5 = labelset("r2", "r3")
 F6 = labelset("r1", "r2", "r3")
 E1 = {F1, F2, F4}
 E3 = {F1, F3}
+
+
+def union_of(family):
+    return frozenset().union(*family)
+
+
+def heads_of(p, labels):
+    return frozenset(p.rule(l).head for l in labels)
 
 
 class TestFragments:
@@ -119,21 +127,20 @@ class TestOverrides:
 
 class TestReductG:
     def test_plain_reduct_removes_defeated_fragments(self):
-        out = reduct_g(RUN_PLAIN, E1)
-        assert out.members == frozenset(E1)
+        assert reduct_g(RUN_PLAIN, E1) == frozenset(E1)
 
     def test_preference_lets_overriding_fragments_survive(self):
         # F3 overrides its only defeater F4, and so do F5 and F6: every
         # fragment survives, so E1 is not a fixpoint once r3 is preferred.
         out = reduct_g(RUN, E1)
-        assert F3 in out.members
-        assert out.members == {F1, F2, F3, F4, F5, F6}
+        assert F3 in out
+        assert out == {F1, F2, F3, F4, F5, F6}
 
     def test_empty_guess_removes_nothing(self):
-        assert reduct_g(RUN, frozenset()).members == set(fragments(RUN))
+        assert reduct_g(RUN, frozenset()) == set(fragments(RUN))
 
     def test_winning_guess_is_a_fixpoint(self):
-        assert reduct_g(RUN, E3).members == frozenset(E3)
+        assert reduct_g(RUN, E3) == frozenset(E3)
 
     def test_non_fragment_member_rejected(self):
         with pytest.raises(ValueError):
@@ -142,17 +149,10 @@ class TestReductG:
 
 class TestStableFragmentSets:
     def test_indirect_conflict(self):
-        got = [e.members for e in stable_fragment_sets(RUN)]
-        assert got == [frozenset(E1), frozenset(E3)]
-
-    def test_members_carry_union_and_heads(self):
-        e1, e3 = stable_fragment_sets(RUN)
-        assert e1.union == {"r1", "r2"} and e1.heads == lits("a", "x")
-        assert e3.union == {"r3"} and e3.heads == lits("b")
+        assert stable_fragment_sets(RUN) == [frozenset(E1), frozenset(E3)]
 
     def test_empty_program(self):
-        got = stable_fragment_sets(PrefProgram(()))
-        assert [e.members for e in got] == [frozenset({frozenset()})]
+        assert stable_fragment_sets(PrefProgram(())) == [frozenset({frozenset()})]
 
     def test_plain_reduct_fixes_each_one(self):
         # a generating set defeats none of its own fragments and every
@@ -177,7 +177,7 @@ class TestStableFragmentSets:
             labelset("r1", "r2", "u4"),
             labelset("r1", "r2", "u4", "u2"),
         }
-        assert [e.members for e in stable_fragment_sets(CAR)] == [
+        assert stable_fragment_sets(CAR) == [
             frozenset(with_r3),
             frozenset(with_u4),
         ]
@@ -188,7 +188,7 @@ class TestStableFragmentSets:
         out = []
         for k in range(len(frags) + 1):
             for combo in itertools.combinations(frags, k):
-                if reduct_g(plain, combo).members == frozenset(combo):
+                if reduct_g(plain, combo) == frozenset(combo):
                     out.append(frozenset(combo))
         return out
 
@@ -196,7 +196,7 @@ class TestStableFragmentSets:
     @given(small_programs(max_rules=4))
     def test_matches_brute_force_over_fragment_subsets(self, p):
         expected = set(self.brute_force_stable(p))
-        assert {e.members for e in stable_fragment_sets(p)} == expected
+        assert set(stable_fragment_sets(p)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(small_programs(max_rules=5))
@@ -205,9 +205,9 @@ class TestStableFragmentSets:
         # generating sets, and their unions recover those sets
         gens = generating_sets(p)
         stables = stable_fragment_sets(p)
-        assert [e.union for e in stables] == gens
+        assert [union_of(e) for e in stables] == gens
         for e in stables:
-            assert e.members == {f for f in fragments(p) if f <= e.union}
+            assert e == {f for f in fragments(p) if f <= union_of(e)}
 
 
 class TestPreferredAnswerSetsG:
@@ -215,7 +215,7 @@ class TestPreferredAnswerSetsG:
         got = preferred_answer_sets_g(RUN)
         assert g_families(got) == {lits("b")}
         [(answer, witness)] = got
-        assert witness.members == frozenset(E3)
+        assert witness == frozenset(E3)
         assert answer.generating == {"r3"}
 
     def test_preference_between_non_conflicting_rules_is_ignored(self):
@@ -234,7 +234,7 @@ class TestPreferredAnswerSetsG:
         fams = set()
         for k in range(len(frags) + 1):
             for combo in itertools.combinations(frags, k):
-                if reduct_g(p, combo).members == frozenset(combo):
+                if reduct_g(p, combo) == frozenset(combo):
                     heads = frozenset(p.rule(l).head for f in combo for l in f)
                     if is_consistent(heads):
                         fams.add(heads)
@@ -248,9 +248,9 @@ class TestPreferredAnswerSetsG:
     @settings(max_examples=80, deadline=None)
     @given(small_programs())
     def test_preferred_sets_are_stable(self, p):
-        stable = {e.members for e in stable_fragment_sets(p)}
+        stable = set(stable_fragment_sets(p))
         for e in preferred_stable_fragment_sets(p):
-            assert e.members in stable
+            assert e in stable
 
     @settings(max_examples=80, deadline=None)
     @given(small_programs())
@@ -332,9 +332,40 @@ class TestPreferredAnswerSetsG:
         # kept at its first set, with that set as the witness
         expected = []
         for e in preferred_stable_fragment_sets(p):
-            if is_consistent(e.heads) and all(e.heads != a.literals for a, _ in expected):
-                expected.append((AnswerSet(e.heads, e.union), e))
+            heads = heads_of(p, union_of(e))
+            if is_consistent(heads) and all(heads != a.literals for a, _ in expected):
+                expected.append((AnswerSet(heads, union_of(e)), e))
         assert preferred_answer_sets_g(p) == expected
+
+    @pytest.mark.parametrize(
+        "p",
+        [pytest.param(fixtures.load(name), id=name) for name in fixtures.SOURCES]
+        + [
+            pytest.param(even_loops(k, seed, chain), id=f"loops{k}-seed{seed}-chain{int(chain)}")
+            for k in range(1, 6)
+            for seed in (0, 1)
+            for chain in (False, True)
+        ]
+        + [
+            pytest.param(random_lpp(GenParams(seed=seed)), id=f"lpp-seed{seed}")
+            for seed in range(40)
+        ],
+    )
+    def test_witness_is_the_fragment_family_of_the_answer_set(self, p):
+        # the witness is a plain family of label sets: its union is the
+        # generating set, it holds every fragment inside that set and
+        # nothing else, and its heads are the answer set
+        for a, family in preferred_answer_sets_g(p):
+            union = union_of(family)
+            assert union == a.generating
+            inside = {
+                frozenset(t)
+                for k in range(len(union) + 1)
+                for t in itertools.combinations(sorted(union), k)
+                if is_fragment(p, t)
+            }
+            assert family == inside
+            assert heads_of(p, union) == a.literals
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_outside_part_is_tested_once(self, monkeypatch, seed):
@@ -359,3 +390,26 @@ class TestPreferredAnswerSetsG:
         frags = fragments(p)
         for x, y in itertools.combinations(frags, 2):
             assert not (overrides(p, x, y) and overrides(p, y, x))
+
+
+class TestMutualOverride:
+    @pytest.mark.parametrize(
+        "p",
+        [pytest.param(fixtures.load(name), id=name) for name in fixtures.SOURCES]
+        + [
+            pytest.param(random_lpp(GenParams(seed=seed)), id=f"lpp-seed{seed}")
+            for seed in range(40)
+        ],
+    )
+    def test_none_when_overriding_is_asymmetric(self, p):
+        assert mutual_override(p) is None
+
+    def test_first_pair_in_bitmask_order(self, monkeypatch):
+        # a broken override relation that holds both ways; the first pair in
+        # bitmask order is the empty fragment and {r2}
+        monkeypatch.setattr(fragments_module, "_mask_overrides", lambda idx, less, x, y: True)
+        assert mutual_override(RUN) == (frozenset(), {"r2"})
+
+    def test_bound_is_enforced(self):
+        with pytest.raises(BoundExceededError):
+            mutual_override(RUN, Bounds(max_fragment_rules=2))

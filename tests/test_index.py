@@ -34,8 +34,13 @@ RUN = fixtures.load("indirect_conflict")
 )
 def test_bounds_hold_after_the_tables_are_built(solve, bound):
     solve(RUN, Bounds())
-    with pytest.raises(BoundExceededError):
+    with pytest.raises(BoundExceededError) as raised:
         solve(RUN, replace(Bounds(), **{bound: len(RUN.rules) - 1}))
+    # a library caller passed Bounds and reads no variable, so the message
+    # names the field
+    assert raised.value.field == bound
+    assert str(raised.value).endswith(f"bounded at {len(RUN.rules) - 1} (Bounds.{bound})")
+    assert "PREFAS_" not in str(raised.value)
 
 
 def test_each_rule_set_is_scanned_once(monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from helpers import literal_families, lits
 
-from prefas import fixtures, transform, verify
+from prefas import fixtures, fragments, transform, verify
 from prefas.base import answer_sets, is_stratified
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import preferred_answer_sets_g
@@ -104,7 +104,7 @@ class TestOverrideAsym:
     def test_violation_names_both_fragments(self, monkeypatch):
         # a broken override relation that holds both ways; the first pair in
         # bitmask order is the empty fragment and {r2}
-        monkeypatch.setattr(verify, "_mask_overrides", lambda idx, less, x, y: True)
+        monkeypatch.setattr(fragments, "_mask_overrides", lambda idx, less, x, y: True)
         [violation] = check_program(RUN, ["override_asym"])
         assert violation.witness == {"x": [], "y": ["r2"]}
 
