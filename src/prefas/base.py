@@ -22,11 +22,17 @@ Every table derived from the rules alone lives on one ``_Index`` per rule
 tuple, kept in a small lru cache: the bitmask tables, the generating sets
 (found by :func:`prefas.kernels.enum_fixpoints`) and the fragment lattice
 (found by :func:`prefas.kernels.enum_closed`), each built on first use.
-The preference semantics filter these tables with the one preference table
-of ``_less_masks``: each has a ``_preferred_masks(p, bounds)`` that returns
-the index and its preferred generating sets as masks, and every semantics,
-the plain one included, turns masks into answer sets in the one dedup step
-of ``_answer_sets_from_masks``.  Results come in bitmask order over source
+The defeat relation is kept once, as ``defeats[j]``, the rules that rule j
+defeats: it is the column table of the generating-set search, and it
+gives each fragment the rules it defeats.  It is built from one mask per
+negative-body literal, in time linear in the program.  The preference
+semantics filter these tables with the preference pairs, read one pair at
+a time: ``d`` strikes the directly overridden pairs out of ``defeats``,
+and ``gno`` and ``g`` read the rows of ``_less_masks``.  Each has a
+``_preferred_masks(p, bounds)`` that returns the index and its preferred
+generating sets as masks, and every semantics, the plain one included,
+turns masks into answer sets in the one dedup step of
+``_answer_sets_from_masks``.  Results come in bitmask order over source
 rule order, and :class:`Bounds` caps the program size on every call.
 """
 
@@ -166,9 +172,12 @@ class _Index:
     """Bitmask tables for one rule tuple, shared by every semantics.
 
     Rule i of the tuple is bit i of a rule mask, and the i-th distinct head
-    literal is bit i of a head mask.  The tables are built here, and
-    ``generating`` and ``fragments`` on first use; ``_index`` keeps one
-    index per rule tuple, so each tuple is scanned at most once for each.
+    literal is bit i of a head mask.  ``defeats[j]`` holds the rules that
+    rule j defeats, read off one table from each negative-body literal to
+    the rules that hold it, so no rule is tested against another.  The
+    tables are built here, and ``generating`` and ``fragments`` on first
+    use; ``_index`` keeps one index per rule tuple, so each tuple is
+    scanned at most once for each.
     """
 
     def __init__(self, rules: tuple[Rule, ...]):
@@ -188,11 +197,11 @@ class _Index:
         self.neg_hmasks = tuple(
             sum(1 << head_id[l] for l in r.neg_body if l in head_id) for r in rules
         )
-        # rules whose head is in rule i's negative body
-        self.defeater_masks = tuple(
-            sum(1 << j for j, other in enumerate(rules) if other.head in r.neg_body)
-            for r in rules
-        )
+        negated_in: dict[Literal, int] = {}  # literal -> rules with it in their negative body
+        for i, r in enumerate(rules):
+            for l in r.neg_body:
+                negated_in[l] = negated_in.get(l, 0) | 1 << i
+        self.defeats = tuple(negated_in.get(r.head, 0) for r in rules)
 
     def mask_of(self, labels: Iterable[str]) -> int:
         return sum(1 << self.position[l] for l in set(labels))
@@ -217,7 +226,7 @@ class _Index:
     def generating(self) -> tuple[int, ...]:
         """The generating sets as masks, ascending."""
         return tuple(kernels.enum_fixpoints(
-            self.n, self.head_bits, self.pos_masks, self.pos_ok, self.defeater_masks
+            self.n, self.head_bits, self.pos_masks, self.pos_ok, self.defeats
         ))
 
     @cached_property
@@ -226,12 +235,8 @@ class _Index:
         that f defeats: fragment Y defeats X iff ``fragments[Y] & X``, and
         ``X & fragments[Y]`` are the rules of X that Y defeats.  Shared by
         every caller, so read only."""
-        defeats = [
-            sum(1 << i for i in range(self.n) if self.defeater_masks[i] >> j & 1)
-            for j in range(self.n)
-        ]
         return {
-            f: self.or_of(f, defeats)
+            f: self.or_of(f, self.defeats)
             for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks, self.pos_ok)
         }
 
@@ -261,10 +266,11 @@ def _compiled(p: ProgramLike, bounds: Bounds | None, field: str = "max_rules") -
 def _less_masks(p: PrefProgram) -> list[int]:
     """less[i]: the rules that rule i is preferred over; all 0 without
     preferences."""
-    return [
-        sum(1 << j for j, other in enumerate(p.rules) if (other.label, r.label) in p.prefs)
-        for r in p.rules
-    ]
+    position = {r.label: i for i, r in enumerate(p.rules)}
+    less = [0] * len(p.rules)
+    for lo, hi in p.prefs:
+        less[position[hi]] |= 1 << position[lo]
+    return less
 
 
 def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Collection, Iterable, Sequence
 
 from . import kernels
-from .base import AnswerSet, Bounds, _answer_sets_from_masks, _compiled, _Index, _less_masks
+from .base import AnswerSet, Bounds, _answer_sets_from_masks, _compiled, _Index
 from .syntax import PrefProgram, Rule
 
 
@@ -29,24 +29,30 @@ def directly_overrides(r1: Rule, r2: Rule, prefs: Collection[tuple[str, str]]) -
     return directly_conflicting(r1, r2) and (r2.label, r1.label) in prefs
 
 
+def _removes(p: PrefProgram, idx: _Index) -> tuple[int, ...]:
+    """removes[j]: the rules that rule j removes from the reduct, the rules
+    it defeats less those that directly override it."""
+    removes = list(idx.defeats)
+    for lo, hi in p.prefs:
+        j, i = idx.position[lo], idx.position[hi]
+        if idx.defeats[i] >> j & 1 and idx.defeats[j] >> i & 1:
+            removes[j] &= ~(1 << i)
+    return tuple(removes)
+
+
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, Sequence[int]]:
     """The preferred generating sets as masks, ascending.
 
-    Rule i is removed by each defeater j that it does not directly
-    override: one it does not defeat back, or is not preferred over.  When
-    no rule overrides one of its defeaters, the table is ``defeater_masks``
-    and the result is the generating sets the index already holds.
+    Rule j removes each rule i it defeats unless i directly overrides it:
+    i defeats j back and is preferred over it.  When no such pair exists,
+    the table is ``defeats`` and the result is the generating sets the
+    index already holds.
     """
     idx = _compiled(p, bounds)
-    less = _less_masks(p)
-    d = idx.defeater_masks
-    remover = tuple(
-        d[i] & ~(less[i] & sum(1 << j for j in range(idx.n) if d[j] >> i & 1))
-        for i in range(idx.n)
-    )
-    if remover == d:
+    removes = _removes(p, idx)
+    if removes == idx.defeats:
         return idx, idx.generating
-    return idx, kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, remover)
+    return idx, kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, removes)
 
 
 def reduct_d(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:

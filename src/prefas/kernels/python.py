@@ -6,8 +6,8 @@ A program with n rules is compiled into flat tables indexed by rule number:
   pos_masks[i]  positive-body literals of rule i that are heads of some rule
   pos_ok[i]     False when rule i's positive body mentions a literal that no
                 rule derives, so the rule can never fire
-  remover[i]    rules whose presence in the tested subset removes rule i
-                from the reduct
+  removes[j]    rules that rule j removes from the reduct when it is in
+                the tested subset
 
 All sets are bitmasks.  Enumeration results are ascending by mask value.
 """
@@ -48,15 +48,15 @@ def enum_fixpoints(
     head_bits: Sequence[int],
     pos_masks: Sequence[int],
     pos_ok: Sequence[bool],
-    remover: Sequence[int],
+    removes: Sequence[int],
 ) -> list[int]:
-    """All subsets R with R == minpos({i : remover[i] & R == 0}).
+    """All subsets R with R == minpos(all minus the union of removes[j], j in R).
 
-    The kept set depends only on which columns of ``remover`` R hits, where
-    column j is the set of rules that rule j removes.  Rules with equal
-    columns are grouped.  A guess G of the groups R hits fixes the kept set,
-    hence R_G = minpos(all minus the columns of G), and R_G is a solution
-    exactly when it hits the groups of G and no others.
+    The kept set depends only on which columns R hits, where column j,
+    ``removes[j]``, is the set of rules that rule j removes.  Rules with
+    equal columns are grouped.  A guess G of the groups R hits fixes the
+    kept set, hence R_G = minpos(all minus the columns of G), and R_G is a
+    solution exactly when it hits the groups of G and no others.
 
     The search keeps a partial guess: groups decided hit (H), decided not
     hit (N) and undecided (U).  minpos is monotone, so every completion
@@ -71,19 +71,18 @@ def enum_fixpoints(
     """
     groups: dict[int, int] = {}  # non-zero column -> its group's index
     group_of = [0] * n  # rule -> bit of its group, 0 for a zero column
-    for j in range(n):
-        column = sum(1 << i for i in range(n) if remover[i] >> j & 1)
+    for j, column in enumerate(removes):
         if column:
             group_of[j] = 1 << groups.setdefault(column, len(groups))
-    removes = list(groups)
-    every_group = (1 << len(removes)) - 1
+    columns = list(groups)
+    every_group = (1 << len(columns)) - 1
     everything = (1 << n) - 1
 
     def least(removed_groups: int) -> tuple[int, int]:
         """minpos with the columns of these groups removed, and the groups
         that result hits."""
         removed = 0
-        for b, column in enumerate(removes):
+        for b, column in enumerate(columns):
             if removed_groups >> b & 1:
                 removed |= column
         r = minpos(everything & ~removed, head_bits, pos_masks, pos_ok)

@@ -20,6 +20,10 @@ Atoms are identifiers, optionally followed by an opaque parenthesised
 argument part such as ``rec(car_1)``; atom names starting with ``__`` are
 reserved for generated programs and rejected on ordinary input.
 
+A :class:`Literal` is a named tuple ``(atom, positive)``: it hashes,
+compares and sorts as that plain tuple does, and compares equal to it, so
+``Literal("a") == ("a", True)``.
+
 The preference relation a user writes can be any set of pairs; it is closed
 transitively here, and rejected if the closure is not asymmetric (i.e. the
 written pairs contain a directed cycle).
@@ -40,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 RESERVED_PREFIX = "__"
 
@@ -72,9 +76,9 @@ class BoundExceededError(PrefasError):
         self.reason, self.field = reason, field
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
-    """An atom or its classical negation."""
+class Literal(NamedTuple):
+    """An atom or its classical negation, as the tuple ``(atom, positive)``;
+    hashing, equality and ordering are the tuple's, and run in C."""
 
     atom: str
     positive: bool = True

@@ -81,7 +81,9 @@ def transform(p: PrefProgram) -> TransformedProgram:
     shadow_atoms: dict[tuple[Literal, str], str] = {}
 
     def shadow(x: Literal, label: str) -> Literal:
-        atom = shadow_atoms.setdefault((x, label), _shadow_name(x, label))
+        atom = shadow_atoms.get((x, label))
+        if atom is None:  # name each shadow once, on first use
+            atom = shadow_atoms[(x, label)] = _shadow_name(x, label)
         return Literal(atom)
 
     rules: list[Rule] = []

@@ -61,6 +61,51 @@ def transformed_answer_sets_by_literals(t):
     return out
 
 
+def closure_by_composition(pairs):
+    """Oracle for ``close_preferences``: compose the pairs with themselves
+    until nothing new appears, cycles and all."""
+    closed = set(pairs)
+    while True:
+        new = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
+def defeater_masks_by_pairs(rules):
+    """Oracle: defeater[i], the rules whose head is in rule i's negative
+    body, found by testing every pair of rules."""
+    return [
+        sum(1 << j for j, other in enumerate(rules) if other.head in r.neg_body) for r in rules
+    ]
+
+
+def transpose(table, n):
+    """Oracle: column j of an n-row bit table, the rows that hold bit j.
+    Of ``defeater_masks_by_pairs`` it is the rules each rule defeats, and
+    of a remover table the column table of the generating-set search."""
+    return [sum(1 << i for i in range(n) if table[i] >> j & 1) for j in range(n)]
+
+
+def less_masks_by_pairs(p):
+    """Oracle: less[i], the rules that rule i is preferred over, found by
+    looking every pair of labels up in ``p.prefs``."""
+    return [
+        sum(1 << j for j, other in enumerate(p.rules) if (other.label, r.label) in p.prefs)
+        for r in p.rules
+    ]
+
+
+def d_remover_by_pairs(p):
+    """Oracle: remover[i] of the ``d`` reduct, each defeater of rule i that
+    rule i does not directly override (defeat back and be preferred over)."""
+    n = len(p.rules)
+    defeaters = defeater_masks_by_pairs(p.rules)
+    defeated = transpose(defeaters, n)
+    less = less_masks_by_pairs(p)
+    return [defeaters[i] & ~(less[i] & defeated[i]) for i in range(n)]
+
+
 def literal_families(answers):
     """The family of literal sets of a list of AnswerSet results."""
     return {a.literals for a in answers}
@@ -153,3 +198,23 @@ def loops_with_tail(seed):
 MUTUAL_DEFAULTS = parse_program("r1: a :- not b.\nr2: c :- d, not b.\nr3: b :- not a.")
 FACT_CHAIN = parse_program("r1: a.\nr2: b :- a.\nr3: d :- c.")
 DIRECT_PAIR = parse_program("r1: a :- not b.\nr2: b :- not a.\nr2 < r1.")
+
+
+# Cyclic preference texts, each with the lo and hi its error names
+CYCLE_MESSAGES = [
+    ("r1: a.\nr1 < r1.", "r1", "r1"),
+    ("r1: a.\nr2: b.\nr1 < r2.\nr2 < r1.", "r1", "r2"),
+    # r1 reaches the cycle first, yet only r2 and r3 lie on it
+    ("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.\nr3 < r2.", "r2", "r3"),
+    # r4 is closed first and reaches the cycle without lying on it
+    ("r1: a.\nr2: b.\nr3: c.\nr4: d.\nr4 < r1.\nr1 < r2.\nr2 < r3.\nr3 < r1.", "r1", "r2"),
+    # r1's first pair leads away from the cycle, so its second one is named
+    ("r1: a.\nr2: b.\nr3: c.\nr4: d.\nr1 < r4.\nr1 < r2.\nr2 < r3.\nr3 < r1.", "r1", "r2"),
+]
+CYCLE_IDS = [
+    "self-loop", "two-cycle", "behind-an-earlier-label", "after-an-earlier-label", "second-pair"
+]
+
+
+def cycle_message(lo, hi):
+    return f"preferences are cyclic: {lo} and {hi} would each be preferred over the other"

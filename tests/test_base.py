@@ -165,7 +165,7 @@ class TestEnumerationMatchesDefinition:
     )
     def test_preferred_generating_sets_d_with_overrides(self, n_rules, seed):
         # some rule directly overrides one of its defeaters, so the search
-        # runs on a remover table other than defeater_masks
+        # runs on a removes table other than defeats
         p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
         assert any(directly_overrides(r1, r2, p.prefs) for r1 in p.rules for r2 in p.rules)
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
@@ -201,7 +201,7 @@ class TestEnumerationMatchesDefinition:
         monkeypatch.setattr(kernel_python, "minpos", counted)
         idx = _index(even_loops(8, 0).rules)
         found = kernels.enum_fixpoints(
-            idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, idx.defeater_masks
+            idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, idx.defeats
         )
         assert len(found) == 256
         assert calls < 8 * 256

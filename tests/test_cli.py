@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import CYCLE_IDS, CYCLE_MESSAGES, cycle_message
 
 import prefas
 from prefas import fixtures, verify
@@ -137,6 +138,16 @@ def test_exceeded_bound_names_its_variable(monkeypatch, capsys, program_file, va
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"prefas: {message}\n"
+
+
+@pytest.mark.parametrize("text, lo, hi", CYCLE_MESSAGES, ids=CYCLE_IDS)
+def test_cyclic_preferences_are_a_clean_error(text, lo, hi, tmp_path, capsys):
+    path = tmp_path / "cyclic.lpp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"prefas: {cycle_message(lo, hi)}\n"
 
 
 def test_max_atoms_is_no_variable(monkeypatch, capsys, program_file):

@@ -5,8 +5,18 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from helpers import (
+    d_remover_by_pairs,
+    defeater_masks_by_pairs,
+    even_loops,
+    less_masks_by_pairs,
+    loops_with_tail,
+    small_programs,
+    transpose,
+)
+from hypothesis import given, settings
 
-from prefas import base, fixtures, gno, kernels, verify
+from prefas import base, direct, fixtures, gno, kernels, verify
 from prefas import fragments as fragments_module
 from prefas.base import Bounds, answer_sets, generating_sets
 from prefas.direct import preferred_answer_sets_d
@@ -64,9 +74,9 @@ def test_each_rule_set_is_scanned_once(monkeypatch):
         closed[tuple(head_bits), tuple(pos_masks), tuple(pos_ok)] += 1
         return real_closed(n, head_bits, pos_masks, pos_ok)
 
-    def enum_fixpoints(n, head_bits, pos_masks, pos_ok, remover):
-        fixpoints[tuple(head_bits), tuple(pos_masks), tuple(pos_ok), tuple(remover)] += 1
-        return real_fixpoints(n, head_bits, pos_masks, pos_ok, remover)
+    def enum_fixpoints(n, head_bits, pos_masks, pos_ok, removes):
+        fixpoints[tuple(head_bits), tuple(pos_masks), tuple(pos_ok), tuple(removes)] += 1
+        return real_fixpoints(n, head_bits, pos_masks, pos_ok, removes)
 
     monkeypatch.setattr(verify, "random_lpp", draw)
     monkeypatch.setattr(kernels, "enum_closed", enum_closed)
@@ -80,7 +90,7 @@ def test_each_rule_set_is_scanned_once(monkeypatch):
         idx = base._index.__wrapped__(rules)
         tables = (idx.head_bits, idx.pos_masks, idx.pos_ok)
         lattices[tables] += 1
-        generating[(*tables, idx.defeater_masks)] += 1
+        generating[(*tables, idx.defeats)] += 1
     assert closed and set(closed) <= set(lattices)
     assert all(calls <= lattices[tables] for tables, calls in closed.items())
     assert all(fixpoints[tables] <= count for tables, count in generating.items())
@@ -113,3 +123,50 @@ def test_distinct_generating_sets_have_distinct_heads(masks_of):
                 assert len(heads) == len(masks)
                 checked += len(masks)
     assert checked
+
+
+def _assert_tables_match_the_oracles(p, lattice=True):
+    """The index's tables, read off per-literal masks and preference pairs,
+    equal the rule-by-rule definitions of ``helpers``."""
+    n = len(p.rules)
+    idx = base._index.__wrapped__(p.rules)
+    defeaters = defeater_masks_by_pairs(p.rules)
+    assert list(idx.defeats) == transpose(defeaters, n)
+    assert base._less_masks(p) == less_masks_by_pairs(p)
+    assert list(direct._removes(p, idx)) == transpose(d_remover_by_pairs(p), n)
+    if lattice:  # each fragment maps to the rules it defeats
+        for f, defeated in idx.fragments.items():
+            assert defeated == sum(1 << i for i in range(n) if defeaters[i] & f)
+
+
+class TestTablesMatchOracles:
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+    def test_random_programs(self, density):
+        for n_rules in range(6, 15, 2):
+            for seed in range(8):
+                p = verify.random_lpp(GenParams(
+                    seed=seed, n_rules=n_rules, n_atoms=3 + seed % 5, pref_density=density
+                ))
+                _assert_tables_match_the_oracles(p, lattice=n_rules <= 10)
+
+    def test_even_loops_and_tails(self):
+        for k in range(1, 6):
+            for seed in range(3):
+                _assert_tables_match_the_oracles(even_loops(k, seed, chain=seed == 1))
+        for seed in range(20):
+            _assert_tables_match_the_oracles(loops_with_tail(seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_programs())
+    def test_hypothesis_programs(self, p):
+        _assert_tables_match_the_oracles(p)
+
+    def test_some_draws_give_d_a_table_of_its_own(self):
+        # in some draws a rule directly overrides a defeater, so the
+        # comparison above also covers a d table other than defeats
+        differs = 0
+        for seed in range(40):
+            p = verify.random_lpp(GenParams(seed=seed, n_rules=10, pref_density=0.9))
+            idx = base._index.__wrapped__(p.rules)
+            differs += direct._removes(p, idx) != idx.defeats
+        assert differs

@@ -1,7 +1,9 @@
 import ast
+import random
 import re
 
 import pytest
+from helpers import CYCLE_IDS, CYCLE_MESSAGES, closure_by_composition, cycle_message
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +18,7 @@ from prefas.syntax import (
     format_program,
     parse_program,
 )
+from prefas.transform import transform
 from prefas.verify import GenParams, random_lpp
 
 
@@ -212,6 +215,56 @@ def test_parse_not_is_a_keyword():
         parse_program("r1: not.")
 
 
+class TestLiteral:
+    """A literal is the named tuple (atom, positive)."""
+
+    def test_fields_and_default(self):
+        assert Literal._fields == ("atom", "positive")
+        x = Literal("p(x)")
+        assert (x.atom, x.positive) == ("p(x)", True)
+        assert Literal("a", False).positive is False
+
+    def test_str_and_repr(self):
+        assert str(Literal("a")) == "a"
+        assert str(Literal("p(x)", False)) == "-p(x)"
+        assert repr(Literal("a", False)) == "Literal(atom='a', positive=False)"
+
+    def test_complement(self):
+        assert Literal("a").complement == Literal("a", False)
+        assert Literal("a", False).complement == Literal("a")
+        assert type(Literal("a").complement) is Literal
+        assert Literal("b").complement.complement == Literal("b")
+
+    def test_sorted_by_atom_then_sign(self):
+        found = sorted([Literal("b"), Literal("a"), Literal("b", False), Literal("a", False)])
+        assert found == [Literal("a", False), Literal("a"), Literal("b", False), Literal("b")]
+
+    def test_equal_to_the_plain_tuple(self):
+        assert Literal("a") == ("a", True)
+        assert hash(Literal("a", False)) == hash(("a", False))
+        assert Literal("a") != Literal("a", False)
+
+    def test_independently_built_literals_hash_and_compare_equal(self):
+        first = parse_program("r1: -a :- b, not c.")
+        second = parse_program("r9: c.\nr1: -a :- b, not c.")
+        built = {Literal("a", False), Literal("b"), Literal("c")}
+        r1, r2 = first.rule("r1"), second.rule("r1")
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert {r1.head, *r1.pos_body, *r1.neg_body} == built
+
+    def test_keys_with_a_label(self):
+        # transform keys its shadow atoms by (literal, rule label)
+        p = fixtures.load("indirect_conflict")
+        t = transform(p)
+        again = parse_program(fixtures.INDIRECT_CONFLICT)
+        for r in again.rules:
+            for x in r.neg_body:
+                assert (x, r.label) in t.shadow_atoms
+        table = {(Literal("a"), "r1"): 1}
+        assert table[(parse_program("r1: a.").rules[0].head, "r1")] == 1
+        assert table.get((Literal("a", False), "r1")) is None
+
+
 def test_close_preferences_chain():
     closed = close_preferences({("r3", "r2"), ("r2", "r1")}, {"r1", "r2", "r3"})
     assert closed == {("r3", "r2"), ("r2", "r1"), ("r3", "r1")}
@@ -234,6 +287,59 @@ def test_close_preferences_self_pair():
 def test_close_preferences_long_cycle_in_program_text():
     with pytest.raises(PreferenceCycleError):
         parse_program("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.\nr3 < r1.")
+
+
+@pytest.mark.parametrize("text, lo, hi", CYCLE_MESSAGES, ids=CYCLE_IDS)
+def test_cycle_error_names_the_first_label_on_a_cycle(text, lo, hi):
+    with pytest.raises(PreferenceCycleError) as raised:
+        parse_program(text)
+    assert str(raised.value) == cycle_message(lo, hi)
+
+
+def _random_pairs(rng, labels, acyclic):
+    """Random (lo, hi) pairs over ``labels``; with ``acyclic`` each pair
+    rises in one shuffled order, so no cycle can form."""
+    order = rng.sample(labels, len(labels))
+    pairs = []
+    for _ in range(rng.randint(0, 2 * len(labels))):
+        lo, hi = rng.choice(labels), rng.choice(labels)
+        if acyclic:
+            if lo == hi:
+                continue
+            if order.index(lo) > order.index(hi):
+                lo, hi = hi, lo
+        pairs.append((lo, hi))
+    return pairs
+
+
+@pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "any"])
+def test_close_preferences_matches_composition(acyclic):
+    rng = random.Random(16)
+    raised = closed = 0
+    for _ in range(400):
+        labels = [f"r{i}" for i in range(rng.randint(1, 8))]
+        pairs = _random_pairs(rng, labels, acyclic)
+        expected = closure_by_composition(pairs)
+        cyclic = [lo for lo, hi in pairs if (lo, lo) in expected]
+        if not cyclic:
+            assert close_preferences(pairs, labels) == expected
+            closed += 1
+            continue
+        with pytest.raises(PreferenceCycleError) as error:
+            close_preferences(pairs, labels)
+        # the first label written as a lo that lies on a cycle, and its
+        # first hi that leads back to it
+        lo = cyclic[0]
+        hi = next(h for l, h in pairs if l == lo and (h == lo or (h, lo) in expected))
+        assert str(error.value) == cycle_message(lo, hi)
+        raised += 1
+    assert closed
+    assert raised == 0 if acyclic else raised
+
+
+def test_close_preferences_names_the_first_unknown_label():
+    with pytest.raises(KeyError, match="'x'"):
+        close_preferences([("r1", "r2"), ("r2", "x"), ("y", "r1")], ["r1", "r2"])
 
 
 def test_close_preferences_idempotent():
