@@ -28,7 +28,9 @@ gives each fragment the rules it defeats.  It is built from one mask per
 negative-body literal, in time linear in the program.  The preference
 semantics filter these tables with the preference pairs, read one pair at
 a time: ``d`` strikes the directly overridden pairs out of ``defeats``,
-and ``gno`` and ``g`` read the rows of ``_less_masks``.  Each has a
+and ``gno`` and ``g`` test each rule i against ``attacks(R & ~M_i)``, the
+memoised rules that minpos(R minus M_i) defeats, each with its own mask
+M_i built from the rows of ``_less_masks``.  Each has a
 ``_preferred_masks(p, bounds)`` that returns the index and its preferred
 generating sets as masks, and every semantics, the plain one included,
 turns masks into answer sets in the one dedup step of
@@ -41,7 +43,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import kernels
 from .syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule
@@ -60,15 +62,15 @@ class Bounds:
     """Enumeration limits.
 
     ``max_rules`` caps subset enumeration (generating sets and the
-    preference semantics), ``max_atoms`` caps the candidate space of the
-    classic-reduction oracle, and ``max_fragment_rules`` caps fragment
-    enumeration, whose lattice can hold all 2^n rule subsets.  A library
-    call given no bounds uses ``DEFAULT_BOUNDS``, these defaults, and reads
-    no environment; a bound it exceeds raises ``BoundExceededError`` naming
-    the field.  ``from_env`` is the command line's reader: it takes each
-    field of ``BOUND_VARIABLES`` from its variable, keeps the default
-    ``max_atoms``, and raises ``PrefasError`` on a value that is not a
-    non-negative integer.
+    preference semantics), ``max_atoms`` caps the head literals whose
+    subsets the classic-reduction oracle tries, and ``max_fragment_rules``
+    caps fragment enumeration, whose lattice can hold all 2^n rule subsets.
+    A library call given no bounds uses ``DEFAULT_BOUNDS``, these defaults,
+    and reads no environment; a bound it exceeds raises
+    ``BoundExceededError`` naming the field.  ``from_env`` is the command
+    line's reader: it takes each field of ``BOUND_VARIABLES`` from its
+    variable, keeps the default ``max_atoms``, and raises ``PrefasError`` on
+    a value that is not a non-negative integer.
     """
 
     max_rules: int = 20
@@ -175,9 +177,9 @@ class _Index:
     literal is bit i of a head mask.  ``defeats[j]`` holds the rules that
     rule j defeats, read off one table from each negative-body literal to
     the rules that hold it, so no rule is tested against another.  The
-    tables are built here, and ``generating`` and ``fragments`` on first
-    use; ``_index`` keeps one index per rule tuple, so each tuple is
-    scanned at most once for each.
+    tables are built here, ``generating`` and ``fragments`` on first use,
+    and ``attacks`` per argument; ``_index`` keeps one index per rule
+    tuple, so each tuple is scanned at most once for each.
     """
 
     def __init__(self, rules: tuple[Rule, ...]):
@@ -193,15 +195,12 @@ class _Index:
             sum(1 << head_id[l] for l in r.pos_body if l in head_id) for r in rules
         )
         self.pos_ok = tuple(all(l in head_id for l in r.pos_body) for r in rules)
-        # negative-body literals that some rule derives
-        self.neg_hmasks = tuple(
-            sum(1 << head_id[l] for l in r.neg_body if l in head_id) for r in rules
-        )
         negated_in: dict[Literal, int] = {}  # literal -> rules with it in their negative body
         for i, r in enumerate(rules):
             for l in r.neg_body:
                 negated_in[l] = negated_in.get(l, 0) | 1 << i
         self.defeats = tuple(negated_in.get(r.head, 0) for r in rules)
+        self._attacks: dict[int, int] = {}
 
     def mask_of(self, labels: Iterable[str]) -> int:
         return sum(1 << self.position[l] for l in set(labels))
@@ -221,6 +220,14 @@ class _Index:
 
     def minpos_mask(self, members: int) -> int:
         return kernels.minpos(members, self.head_bits, self.pos_masks, self.pos_ok)
+
+    def attacks(self, members: int) -> int:
+        """A(minpos(members)): the rules that the greatest fragment inside
+        ``members`` defeats, memoised per ``members``."""
+        found = self._attacks.get(members)
+        if found is None:
+            found = self._attacks[members] = self.or_of(self.minpos_mask(members), self.defeats)
+        return found
 
     @cached_property
     def generating(self) -> tuple[int, ...]:
@@ -271,6 +278,18 @@ def _less_masks(p: PrefProgram) -> list[int]:
     for lo, hi in p.prefs:
         less[position[hi]] |= 1 << position[lo]
     return less
+
+
+def _beaten(idx: _Index, less: Sequence[int], r: int, rules: int, attacked: int) -> Iterator[int]:
+    """The rules i of ``rules``, each as its bit and ascending, that
+    minpos(r minus M_i) defeats, where M_i = attacked ∩ less[i].  ``gno``
+    passes every rule as ``attacked``, so M_i = less[i]; ``g`` passes A(D)
+    for a part D outside ``r``, as the ``fragments`` description explains."""
+    while rules:
+        low = rules & -rules
+        rules ^= low
+        if idx.attacks(r & ~(attacked & less[low.bit_length() - 1])) & low:
+            yield low
 
 
 def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
@@ -337,26 +356,18 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
 
     Any answer set is the least model of its reduct and therefore only
     contains literals some rule derives, so candidates range over subsets of
-    the distinct head literals.
+    the distinct head literals.  There are 2^k of them for k head literals,
+    up to two per atom, so ``Bounds.max_atoms`` caps k.
     """
     bounds = bounds or DEFAULT_BOUNDS
     rules = rules_of(p)
-    atoms = {r.head.atom for r in rules}
-    for r in rules:
-        atoms.update(l.atom for l in r.pos_body)
-        atoms.update(l.atom for l in r.neg_body)
-    if len(atoms) > bounds.max_atoms:
+    basis = list(dict.fromkeys(r.head for r in rules))
+    if len(basis) > bounds.max_atoms:
         raise BoundExceededError(
-            f"program mentions {len(atoms)} atoms; candidate enumeration is "
+            f"program has {len(basis)} distinct head literals; candidate enumeration is "
             f"bounded at {bounds.max_atoms}",
             "max_atoms",
         )
-    basis: list[Literal] = []
-    seen: set[Literal] = set()
-    for r in rules:
-        if r.head not in seen:
-            seen.add(r.head)
-            basis.append(r.head)
     out = []
     for mask in range(1 << len(basis)):
         cand = frozenset(basis[i] for i in range(len(basis)) if mask >> i & 1)

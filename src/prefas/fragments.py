@@ -20,31 +20,42 @@ so the search enumerates generating sets instead of all subsets of the
 fragment lattice.  Write A(S) for the rules that a rule set S defeats.  A
 generating set R defeats none of its members, R ∩ A(R) = ∅, so the
 preference-aware reduct keeps every member of E; E is preferred exactly
-when the reduct removes every fragment outside R.  R itself defeats each
-of those, so E is tried with R first.
+when the reduct removes every fragment outside R.  Fragments are closed
+under union, so a fragment X outside R has the same outside part X∖R as
+the fragment X ∪ R; the lemma below shows that this part alone decides
+whether E removes X, so only the fragments that contain R are tested.
 
-For Y ⊆ R, A(Y) ⊆ A(R), so for every fragment X
+Lemma.  Let X = D ∪ R be a fragment with outside part D = X∖R ≠ ∅, and
+M_i = A(D) ∩ less[i].  E removes X exactly when some i ∈ D is in
+attacks(R∖M_i), the rules that minpos(R∖M_i) defeats.
 
-  X ∩ A(Y) = (X∖R) ∩ A(Y)    the rules of X that Y defeats
-  Y ∩ A(X) = Y ∩ A(X∖R)      the rules of Y that X defeats
+Proof.  Y ∈ E removes X when Y defeats X and X does not override Y.  As
+A(Y) ⊆ A(R) and R ∩ A(R) = ∅, the rules of X that Y defeats are D ∩ A(Y),
+and the rules of Y that X defeats are Y ∩ A(D).  So Y removes X exactly
+when some i ∈ D ∩ A(Y) has Y ∩ A(D) ∩ less[i] = ∅, that is Y ⊆ R∖M_i;
+this covers Y ∩ A(D) = ∅, where the two do not conflict.  i ∈ A(Y) is
+monotone in Y, and the fragments inside a set S have a greatest member,
+minpos(S), so it is enough to test Y = minpos(R∖M_i).  ``base._beaten``
+makes this test, and ``gno`` makes it with M_i = less[i].
 
-and whether E removes X depends only on its outside part D = X∖R.
-Fragments are closed under union, so D is the outside part of some
-fragment exactly when D ∪ R is a fragment.  One fragment, D ∪ R, is tested
-for each such D, and the first one that survives rejects R.
+Pruning.  Call a rule i outside R robust when the same test holds with
+A(O) in place of A(D), where O is every rule outside R.  A(D) ⊆ A(O) and
+minpos is monotone, so E removes every fragment whose outside part holds
+a robust rule.  Only the fragments between R and everything but the
+robust rules are tested, one per outside part D, and the first one that
+survives rejects R.
 
-The fragment lattice, with A(f) for each fragment f, depends on the rules
-alone, so it lives on the program's shared index and is built at most once
-per rule tuple; only the preference table ``less`` differs between
-programs with the same rules.
+The fragment lattice, with A(f) for each fragment f, and ``attacks``
+depend on the rules alone, so they live on the program's shared index;
+only the preference table ``less`` differs between programs with the same
+rules.  ``reduct_g`` keeps the pairwise override test over the whole
+lattice, as the oracle that the tests check the lemma against.
 
-Like ``direct`` and ``gno``, ``_preferred_masks`` returns the preferred
-generating sets as masks, and the answer sets come from the shared dedup
-step ``_answer_sets_from_masks``.  Each one's witness, like a stable
-fragment set and the result of ``reduct_g``, is a ``FragmentFamily``, a
-frozenset of label sets; its union and heads are the ``AnswerSet``'s
-``generating`` and ``literals``.  ``mutual_override`` returns the first
-pair of fragments that override each other, which must not exist.
+Like ``direct`` and ``gno``, ``_preferred_masks`` returns masks for the
+shared dedup step ``_answer_sets_from_masks``.  Each answer set's witness,
+like a stable fragment set and the result of ``reduct_g``, is a
+``FragmentFamily``, a frozenset of label sets whose union and heads are
+the ``AnswerSet``'s ``generating`` and ``literals``.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ from .base import (
     Bounds,
     ProgramLike,
     _answer_sets_from_masks,
+    _beaten,
     _compiled,
     _Index,
     _less_masks,
@@ -133,14 +145,6 @@ def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
     return True
 
 
-def _removed(idx: _Index, less: Sequence[int], x: int, e_masks: Sequence[int]) -> bool:
-    """Does some member of E defeat fragment x without x overriding it?"""
-    frags = idx.fragments
-    return any(
-        frags[y] & x and not _mask_overrides(idx, less, x, y) for y in e_masks
-    )
-
-
 def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
              bounds: Bounds | None = None) -> FragmentFamily:
     """Preference-aware fragment reduct of the full fragment lattice w.r.t.
@@ -157,24 +161,12 @@ def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
             raise ValueError(f"{sorted(m)} is not a fragment of the program")
         e_masks.append(mask)
     less = _less_masks(p)
+    frags = idx.fragments
     return frozenset(
-        idx.labels_of(x) for x in idx.fragments if not _removed(idx, less, x, e_masks)
+        idx.labels_of(x)
+        for x in frags
+        if not any(frags[y] & x and not _mask_overrides(idx, less, x, y) for y in e_masks)
     )
-
-
-def mutual_override(
-    p: PrefProgram, bounds: Bounds | None = None
-) -> tuple[frozenset[str], frozenset[str]] | None:
-    """The first pair of fragments x < y in bitmask order that override
-    each other, or None when overriding is asymmetric, as it must be."""
-    idx = _lattice_index(p, bounds)
-    less = _less_masks(p)
-    frags = list(idx.fragments)
-    for i, x in enumerate(frags):
-        for y in frags[i + 1 :]:
-            if _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x):
-                return idx.labels_of(x), idx.labels_of(y)
-    return None
 
 
 def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
@@ -194,21 +186,28 @@ def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
         sub = (sub - free) & free
 
 
+def _part_removed(idx: _Index, less: Sequence[int], r: int, d: int) -> bool:
+    """Do the fragments inside ``r`` remove the fragment with outside part
+    ``d``, that is d | r?  The lemma of the module description."""
+    return any(_beaten(idx, less, r, d, idx.or_of(d, idx.defeats)))
+
+
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
     """The generating sets R whose fragments remove every fragment outside
-    R, as masks, ascending; one fragment D | R per outside part D is tested,
-    as the module description explains."""
+    R, as masks, ascending; one fragment D | R is tested per outside part D
+    free of robust rules, as the module description explains."""
     idx = _lattice_index(p, bounds)
     less = _less_masks(p)
     everything = (1 << idx.n) - 1
     out = []
     for labels in generating_sets(p, bounds):
         r = idx.mask_of(labels)
+        outside = everything & ~r
+        robust = sum(_beaten(idx, less, r, outside, idx.or_of(outside, idx.defeats)))
         frags = idx.fragments  # built only when some generating set needs it
-        e = _fragments_between(frags, 0, r)[::-1]  # descending: R first
         if all(
-            _removed(idx, less, x, e)
-            for x in _fragments_between(frags, r, everything)[1:]  # R itself is first
+            _part_removed(idx, less, r, x & ~r)
+            for x in _fragments_between(frags, r, everything & ~robust)[1:]  # R is first
         ):
             out.append(r)
     return idx, out

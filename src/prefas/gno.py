@@ -10,8 +10,10 @@ R = minpos(reduct(R)).
 The candidate space is the generating sets of the underlying program,
 which the program's shared index holds: the fixpoint equation alone has
 spurious solutions that are not generating sets, so the restriction is
-part of the semantics, not an optimisation.  The preferred sets go through
-the same dedup step as the plain answer sets.
+part of the semantics, not an optimisation.  R's reduct drops rule i when
+minpos(R minus less[i]) defeats it, the test that ``g`` makes with a
+smaller mask (``base._beaten``).  The preferred sets go through the same
+dedup step as the plain answer sets.
 
 This semantics applies preferences even between non-conflicting rules; a
 stratified program can lose its answer set under it.  In exchange it stays
@@ -27,6 +29,7 @@ from .base import (
     AnswerSet,
     Bounds,
     _answer_sets_from_masks,
+    _beaten,
     _compiled,
     _Index,
     _less_masks,
@@ -60,28 +63,18 @@ def reduct_gno(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
     """The generating sets R with R = minpos(reduct_gno(R)) as masks.
 
-    trules(r, R) lies inside R, so a rule whose negative body misses the
-    heads of R is kept without computing it.  The heads of minpos(allowed)
-    are memoised per set of allowed members, whichever rule asks.
+    trules(i, R) is minpos(R minus less[i]), so the reduct drops the rules
+    that ``_beaten`` yields for R; they lie inside attacks(R), as
+    minpos(R) = R.
     """
     idx = _compiled(p, bounds)
     less = _less_masks(p)
-    memo: dict[int, int] = {}
+    everything = (1 << idx.n) - 1
     out = []
-    for r_mask in idx.generating:
-        r_heads = idx.or_of(r_mask, idx.head_bits)
-        kept = 0
-        for i in range(idx.n):
-            if idx.neg_hmasks[i] & r_heads:
-                allowed = r_mask & ~less[i]
-                heads = memo.get(allowed)
-                if heads is None:
-                    heads = memo[allowed] = idx.or_of(idx.minpos_mask(allowed), idx.head_bits)
-                if idx.neg_hmasks[i] & heads:
-                    continue
-            kept |= 1 << i
-        if idx.minpos_mask(kept) == r_mask:
-            out.append(r_mask)
+    for r in idx.generating:
+        dropped = sum(_beaten(idx, less, r, idx.attacks(r), everything))
+        if idx.minpos_mask(everything & ~dropped) == r:
+            out.append(r)
     return idx, out
 
 

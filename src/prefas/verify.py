@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .base import AnswerSet, Bounds, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
-from .fragments import FragmentFamily, mutual_override, preferred_answer_sets_g
+from .fragments import FragmentFamily, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
 from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
 from .transform import check_correspondence
@@ -256,15 +256,6 @@ def _check_transform_eq(
     )]
 
 
-def _check_override_asym(
-    p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
-) -> list[Violation]:
-    pair = mutual_override(p, bounds)
-    if pair is None:
-        return []
-    return [Violation("override_asym", p, {"x": sorted(pair[0]), "y": sorted(pair[1])})]
-
-
 # Each property runs as check(program, bounds, draw, families).  ``draw``
 # holds the generator parameters when ``fuzz`` produced the program and is
 # None for a given program; strat_eq and monotonicity derive their inputs
@@ -308,7 +299,6 @@ _CHECKS = {
     "empty_pref": _check_empty_pref,
     "monotonicity": _monotonicity,
     "transform_eq": _check_transform_eq,
-    "override_asym": _check_override_asym,
     "pas_subset_as": _check_pas_subset_as,
 }
 

@@ -275,6 +275,17 @@ class TestClassicOracle:
             gl_answer_sets(CAR, Bounds(max_atoms=3))
         assert raised.value.field == "max_atoms"
 
+    def test_bound_counts_head_literals_not_atoms(self):
+        # 9 atoms but 18 head literals, so 2^18 candidates: the atom count
+        # passes the bound of 16, the candidate space must not
+        text = "\n".join(
+            f"p{i}: a{i} :- not -a{i}.\nn{i}: -a{i} :- not a{i}." for i in range(9)
+        )
+        expected = r"18 distinct head literals; .* bounded at 16 \(Bounds\.max_atoms\)$"
+        with pytest.raises(BoundExceededError, match=expected) as raised:
+            gl_answer_sets(parse_program(text), Bounds(max_atoms=16))
+        assert raised.value.field == "max_atoms"
+
     @settings(max_examples=200, deadline=None)
     @given(small_programs())
     def test_agrees_with_generating_set_route(self, p):

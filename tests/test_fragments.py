@@ -19,8 +19,10 @@ from prefas import fragments as fragments_module
 from prefas.base import (
     AnswerSet,
     Bounds,
+    _beaten,
     _less_masks,
     answer_sets,
+    defeats,
     generating_sets,
     is_consistent,
     is_stratified,
@@ -28,10 +30,10 @@ from prefas.base import (
 from prefas.fragments import (
     _lattice_index,
     _mask_overrides,
+    _part_removed,
     conflicting,
     fragments,
     is_fragment,
-    mutual_override,
     overrides,
     preferred_answer_sets_g,
     preferred_stable_fragment_sets,
@@ -371,45 +373,120 @@ class TestPreferredAnswerSetsG:
     def test_each_outside_part_is_tested_once(self, monkeypatch, seed):
         # whether E removes a fragment X outside R depends only on X minus R
         tested = Counter()
-        real = fragments_module._removed
+        real = fragments_module._part_removed
 
-        def removed(idx, less, x, e_masks):
-            r = max(e_masks)  # R is the largest fragment inside R
-            tested[r, x & ~r] += 1
-            return real(idx, less, x, e_masks)
+        def part_removed(idx, less, r, d):
+            tested[r, d] += 1
+            return real(idx, less, r, d)
 
-        monkeypatch.setattr(fragments_module, "_removed", removed)
+        monkeypatch.setattr(fragments_module, "_part_removed", part_removed)
         p = even_loops(5, seed)
         preferred_stable_fragment_sets(p)
         assert tested
         assert max(tested.values()) == 1
 
-    @settings(max_examples=60, deadline=None)
-    @given(small_programs(max_rules=4))
-    def test_override_asymmetry(self, p):
-        frags = fragments(p)
-        for x, y in itertools.combinations(frags, 2):
-            assert not (overrides(p, x, y) and overrides(p, y, x))
+
+# programs with several generating sets, where the test of outside parts
+# decides something
+SEVERAL_GENERATING_SETS = (
+    [pytest.param(loops_with_tail(seed), id=f"tail-seed{seed}") for seed in range(12)]
+    + [
+        pytest.param(even_loops(k, seed, chain), id=f"loops{k}-seed{seed}-chain{int(chain)}")
+        for k in (2, 3, 4)
+        for seed in (0, 1)
+        for chain in (False, True)
+    ]
+    + [
+        pytest.param(random_lpp(GenParams(seed=seed, n_rules=n)), id=f"lpp{n}-seed{seed}")
+        for n, seed in [(8, 71), (8, 110), (10, 270), (10, 288), (12, 0), (12, 70)]
+    ]
+)
 
 
-class TestMutualOverride:
+def robust_rules(idx, less, r):
+    """The rules outside the generating set ``r`` that every fragment
+    holding them loses to the fragments inside r."""
+    outside = ((1 << idx.n) - 1) & ~r
+    return sum(_beaten(idx, less, r, outside, idx.or_of(outside, idx.defeats)))
+
+
+class TestOutsidePartLemma:
+    """The per-part test of the ``fragments`` module description against the
+    pairwise definition, on label sets: for a generating set R and a
+    fragment X ⊋ R, the fragments inside R remove X exactly when some
+    fragment Y ⊆ R defeats X and X does not override Y."""
+
+    @pytest.mark.parametrize("p", SEVERAL_GENERATING_SETS)
+    def test_part_test_matches_the_pairwise_definition(self, p):
+        idx = _lattice_index(p, Bounds())
+        less = _less_masks(p)
+        frags = [t for t in subsets_in_mask_order(p) if is_fragment(p, t)]
+        gens = generating_sets(p)
+        assert len(gens) > 1
+        for r_labels in gens:
+            r = idx.mask_of(r_labels)
+            inside = [(y, p.rules_of(y)) for y in frags if y <= r_labels]
+            robust = robust_rules(idx, less, r)
+            for x in frags:
+                if not x > r_labels:
+                    continue
+                x_rules = p.rules_of(x)
+                expected = any(
+                    defeats(y_rules, x_rules) and not overrides(p, x, y) for y, y_rules in inside
+                )
+                d = idx.mask_of(x - r_labels)
+                assert _part_removed(idx, less, r, d) == expected, (sorted(r_labels), sorted(x))
+                if not expected:  # a survivor holds no robust rule
+                    assert d & robust == 0, (sorted(r_labels), sorted(x))
+
+    def test_survivors_and_robust_rules_occur(self):
+        # the checks above are not vacuous: some fragments survive, and
+        # some generating sets have robust rules
+        survivors = robust = 0
+        for param in SEVERAL_GENERATING_SETS:
+            p = param.values[0]
+            idx = _lattice_index(p, Bounds())
+            less = _less_masks(p)
+            for r in map(idx.mask_of, generating_sets(p)):
+                robust += robust_rules(idx, less, r).bit_count()
+                survivors += sum(
+                    not _part_removed(idx, less, r, x & ~r)
+                    for x in idx.fragments
+                    if x & r == r and x != r
+                )
+        assert survivors and robust
+
+
+class TestOverrideAsymmetry:
+    """No two fragments override each other.  The preferences are a strict
+    partial order; let m be a least preferred rule of dx ∪ dy, the rules of
+    each fragment that the other defeats.  If m ∈ dx, x overriding y needs
+    some j ∈ dy with j < m, and if m ∈ dy, y overriding x needs some
+    j ∈ dx with j < m; either way m would not be least preferred."""
+
+    @staticmethod
+    def assert_asymmetric(p):
+        idx = _lattice_index(p, Bounds())
+        less = _less_masks(p)
+        frags = list(idx.fragments)
+        for i, x in enumerate(frags):
+            for y in frags[i + 1 :]:
+                mutual = _mask_overrides(idx, less, x, y) and _mask_overrides(idx, less, y, x)
+                assert not mutual, (sorted(idx.labels_of(x)), sorted(idx.labels_of(y)))
+
     @pytest.mark.parametrize(
         "p",
         [pytest.param(fixtures.load(name), id=name) for name in fixtures.SOURCES]
         + [
             pytest.param(random_lpp(GenParams(seed=seed)), id=f"lpp-seed{seed}")
             for seed in range(40)
-        ],
+        ]
+        + [pytest.param(loops_with_tail(seed), id=f"tail-seed{seed}") for seed in range(20)],
     )
-    def test_none_when_overriding_is_asymmetric(self, p):
-        assert mutual_override(p) is None
+    def test_no_pair_overrides_each_other(self, p):
+        self.assert_asymmetric(p)
 
-    def test_first_pair_in_bitmask_order(self, monkeypatch):
-        # a broken override relation that holds both ways; the first pair in
-        # bitmask order is the empty fragment and {r2}
-        monkeypatch.setattr(fragments_module, "_mask_overrides", lambda idx, less, x, y: True)
-        assert mutual_override(RUN) == (frozenset(), {"r2"})
-
-    def test_bound_is_enforced(self):
-        with pytest.raises(BoundExceededError):
-            mutual_override(RUN, Bounds(max_fragment_rules=2))
+    @settings(max_examples=60, deadline=None)
+    @given(small_programs(max_rules=4))
+    def test_no_pair_overrides_each_other_on_hypothesis_programs(self, p):
+        self.assert_asymmetric(p)

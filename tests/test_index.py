@@ -1,6 +1,7 @@
 """The tables that depend on the rules alone are built once per rule set
 and shared by every semantics, and the bounds still hold once they exist."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -170,3 +171,44 @@ class TestTablesMatchOracles:
             idx = base._index.__wrapped__(p.rules)
             differs += direct._removes(p, idx) != idx.defeats
         assert differs
+
+
+def _assert_attacks_match_the_definition(p, rng):
+    """``attacks(S)`` is A(minpos(S)), here from the object-level ``minpos``
+    and ``defeats`` of ``base`` on random rule sets S."""
+    rules = p.rules
+    idx = base._index.__wrapped__(rules)
+    for members in [0, (1 << len(rules)) - 1] + [rng.getrandbits(len(rules)) for _ in range(30)]:
+        fired = base.minpos(r for i, r in enumerate(rules) if members >> i & 1)
+        support = [r for r in rules if r.label in fired]
+        expected = sum(1 << i for i, r in enumerate(rules) if base.defeats(support, r))
+        assert idx.attacks(members) == expected, (members, sorted(fired))
+
+
+class TestAttacks:
+    @pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+    def test_random_programs(self, density):
+        rng = random.Random(density)
+        for n_rules in range(6, 15, 2):
+            for seed in range(8):
+                p = verify.random_lpp(GenParams(
+                    seed=seed, n_rules=n_rules, n_atoms=3 + seed % 5, pref_density=density
+                ))
+                _assert_attacks_match_the_definition(p, rng)
+
+    def test_even_loops_and_tails(self):
+        rng = random.Random(0)
+        for k in range(1, 6):
+            for seed in range(3):
+                _assert_attacks_match_the_definition(even_loops(k, seed, chain=seed == 1), rng)
+        for seed in range(20):
+            _assert_attacks_match_the_definition(loops_with_tail(seed), rng)
+
+    def test_a_second_call_returns_the_memoised_value(self, monkeypatch):
+        idx = base._index.__wrapped__(loops_with_tail(0).rules)
+        members = (1 << idx.n) - 1
+        first = idx.attacks(members)
+        monkeypatch.setattr(idx, "minpos_mask", lambda members: pytest.fail("recomputed"))
+        assert idx.attacks(members) == first
+        with pytest.raises(pytest.fail.Exception):  # a new argument is computed
+            idx.attacks(members >> 1)

@@ -69,7 +69,7 @@ def test_front_end_uses_public_names_only(name):
         ("from .base import _index, answer_sets", ["base._index"]),
         ("from .fragments import _mask_overrides as m", ["fragments._mask_overrides"]),
         ("from prefas.fragments import _lattice_index", ["fragments._lattice_index"]),
-        ("from . import fragments\nfragments._removed(1)", ["fragments._removed"]),
+        ("from . import fragments\nfragments._part_removed(1)", ["fragments._part_removed"]),
         ("from prefas import base as b\nb._less_masks(p)", ["b._less_masks"]),
         ("import prefas.base\nprefas.base._index.cache_clear()", ["prefas.base._index"]),
         ("import prefas.fragments as f\nf._witness", ["f._witness"]),

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from helpers import literal_families, lits
 
-from prefas import fixtures, fragments, transform, verify
+from prefas import fixtures, transform, verify
 from prefas.base import answer_sets, is_stratified
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import preferred_answer_sets_g
@@ -95,18 +95,6 @@ class TestMonotonicity:
     def test_non_nested_prefs_are_rejected(self):
         with pytest.raises(ValueError):
             check_monotonicity(RUN.rules, {("r3", "r2")}, RUN.prefs)
-
-
-class TestOverrideAsym:
-    def test_fixture_is_clean(self):
-        assert check_program(RUN, ["override_asym"]) == []
-
-    def test_violation_names_both_fragments(self, monkeypatch):
-        # a broken override relation that holds both ways; the first pair in
-        # bitmask order is the empty fragment and {r2}
-        monkeypatch.setattr(fragments, "_mask_overrides", lambda idx, less, x, y: True)
-        [violation] = check_program(RUN, ["override_asym"])
-        assert violation.witness == {"x": [], "y": ["r2"]}
 
 
 class TestPrincipleFixtures:
