@@ -174,7 +174,11 @@ class _Index:
     """Bitmask tables for one rule tuple, shared by every semantics.
 
     Rule i of the tuple is bit i of a rule mask, and the i-th distinct head
-    literal is bit i of a head mask.  ``defeats[j]`` holds the rules that
+    literal is bit i of a head mask.  ``pos_masks[i]`` is rule i's positive
+    body as head bits; a body literal that no rule derives sets the one
+    sentinel bit above them, so the kernels never fire that rule and need
+    no separate table for it.  ``free`` holds the rules whose positive body
+    is empty, which fire at once.  ``defeats[j]`` holds the rules that
     rule j defeats, read off one table from each negative-body literal to
     the rules that hold it, so no rule is tested against another.  The
     tables are built here, ``generating`` and ``fragments`` on first use,
@@ -191,10 +195,15 @@ class _Index:
             head_id.setdefault(r.head, len(head_id))
         self.head_lits = tuple(head_id)
         self.head_bits = tuple(1 << head_id[r.head] for r in rules)
-        self.pos_masks = tuple(
-            sum(1 << head_id[l] for l in r.pos_body if l in head_id) for r in rules
-        )
-        self.pos_ok = tuple(all(l in head_id for l in r.pos_body) for r in rules)
+        underived = 1 << len(head_id)  # the sentinel: no set of heads holds it
+        pos_masks = []
+        for r in rules:
+            mask = 0
+            for l in r.pos_body:
+                mask |= 1 << head_id[l] if l in head_id else underived
+            pos_masks.append(mask)
+        self.pos_masks = tuple(pos_masks)
+        self.free = sum(1 << i for i, mask in enumerate(pos_masks) if not mask)
         negated_in: dict[Literal, int] = {}  # literal -> rules with it in their negative body
         for i, r in enumerate(rules):
             for l in r.neg_body:
@@ -219,7 +228,7 @@ class _Index:
         return bits
 
     def minpos_mask(self, members: int) -> int:
-        return kernels.minpos(members, self.head_bits, self.pos_masks, self.pos_ok)
+        return kernels.minpos(members, self.head_bits, self.pos_masks, self.free)
 
     def attacks(self, members: int) -> int:
         """A(minpos(members)): the rules that the greatest fragment inside
@@ -232,9 +241,7 @@ class _Index:
     @cached_property
     def generating(self) -> tuple[int, ...]:
         """The generating sets as masks, ascending."""
-        return tuple(kernels.enum_fixpoints(
-            self.n, self.head_bits, self.pos_masks, self.pos_ok, self.defeats
-        ))
+        return tuple(kernels.enum_fixpoints(self.n, self.head_bits, self.pos_masks, self.defeats))
 
     @cached_property
     def fragments(self) -> dict[int, int]:
@@ -244,7 +251,7 @@ class _Index:
         every caller, so read only."""
         return {
             f: self.or_of(f, self.defeats)
-            for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks, self.pos_ok)
+            for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks)
         }
 
 

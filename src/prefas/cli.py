@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from .base import BOUND_VARIABLES, AnswerSet, Bounds
 from .fragments import FragmentFamily
@@ -130,8 +131,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other error of the
+    command, are one ``prefas: ...`` line on stderr with exit code 2.  The
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"prefas: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefas",
         description="Answer sets and preferred answer sets of logic programs "
         "with preferences on rules.",

@@ -52,7 +52,7 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, Seq
     removes = _removes(p, idx)
     if removes == idx.defeats:
         return idx, idx.generating
-    return idx, kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, removes)
+    return idx, kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, removes)
 
 
 def reduct_d(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:

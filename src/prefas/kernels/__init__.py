@@ -8,6 +8,12 @@ fixpoints, which reject the branch or decide more columns, and it branches
 on one column only when nothing more follows (the alternating fixpoint of
 Van Gelder, PODS 1989).  ``enum_closed`` scans all 2^n rule subsets for
 the self-supporting ones, and ``minpos`` computes one least fixpoint.
+
+The tables are described in ``python``: ``pos_masks`` marks a body
+literal that no rule derives with one sentinel bit, and ``minpos`` takes
+``free``, the rules with an empty positive body, and returns a set of
+them at once.  Each kernel walks the set bits of its masks, not all n
+rules.
 """
 
 from . import python as _active

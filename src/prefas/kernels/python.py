@@ -3,13 +3,17 @@
 A program with n rules is compiled into flat tables indexed by rule number:
 
   head_bits[i]  bit of rule i's head in the table of distinct head literals
-  pos_masks[i]  positive-body literals of rule i that are heads of some rule
-  pos_ok[i]     False when rule i's positive body mentions a literal that no
-                rule derives, so the rule can never fire
+  pos_masks[i]  positive-body literals of rule i, as head bits; a literal
+                that no rule derives sets the sentinel bit
+                ``1 << len(head_lits)``, which no set of heads holds, so the
+                rule can never fire
+  free          the rules with ``pos_masks[i] == 0``, which fire at once
   removes[j]    rules that rule j removes from the reduct when it is in
                 the tested subset
 
-All sets are bitmasks.  Enumeration results are ascending by mask value.
+All sets are bitmasks, and the kernels walk their set bits, so a call costs
+in proportion to the rules it touches, not to n.  Enumeration results are
+ascending by mask value.
 """
 
 from __future__ import annotations
@@ -17,38 +21,50 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def minpos(
-    members: int, head_bits: Sequence[int], pos_masks: Sequence[int], pos_ok: Sequence[bool]
-) -> int:
+def _free(pos_masks: Sequence[int]) -> int:
+    """The rules whose positive body is empty."""
+    return sum(1 << i for i, mask in enumerate(pos_masks) if not mask)
+
+
+def minpos(members: int, head_bits: Sequence[int], pos_masks: Sequence[int], free: int) -> int:
     """Least fixpoint of rule application ignoring negative bodies.
 
     Returns the subset of ``members`` that fires when rules are applied
     iteratively, each rule requiring its positive body among the heads of
-    rules applied before it.
+    rules applied before it.  The ``free`` members fire at once, so a set
+    of free rules is its own least model.  Each later round fires every
+    pending rule whose body the heads so far cover, and the first round
+    that fires nothing ends the search.
     """
-    pending = [i for i in range(len(head_bits)) if members >> i & 1 and pos_ok[i]]
+    pending = members & ~free
+    if not pending:
+        return members
+    done = members & free
     lits = 0
-    done = 0
+    rest = done
+    while rest:
+        low = rest & -rest
+        lits |= head_bits[low.bit_length() - 1]
+        rest ^= low
     while pending:
-        waiting = []
-        for i in pending:
-            if pos_masks[i] & ~lits == 0:
-                done |= 1 << i
+        fired = 0
+        rest = pending
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if not pos_masks[i] & ~lits:
+                fired |= low
                 lits |= head_bits[i]
-            else:
-                waiting.append(i)
-        if len(waiting) == len(pending):
+        if not fired:
             break
-        pending = waiting
+        done |= fired
+        pending ^= fired
     return done
 
 
 def enum_fixpoints(
-    n: int,
-    head_bits: Sequence[int],
-    pos_masks: Sequence[int],
-    pos_ok: Sequence[bool],
-    removes: Sequence[int],
+    n: int, head_bits: Sequence[int], pos_masks: Sequence[int], removes: Sequence[int]
 ) -> list[int]:
     """All subsets R with R == minpos(all minus the union of removes[j], j in R).
 
@@ -77,19 +93,22 @@ def enum_fixpoints(
     columns = list(groups)
     every_group = (1 << len(columns)) - 1
     everything = (1 << n) - 1
+    free = _free(pos_masks)
 
     def least(removed_groups: int) -> tuple[int, int]:
         """minpos with the columns of these groups removed, and the groups
         that result hits."""
         removed = 0
-        for b, column in enumerate(columns):
-            if removed_groups >> b & 1:
-                removed |= column
-        r = minpos(everything & ~removed, head_bits, pos_masks, pos_ok)
+        while removed_groups:
+            low = removed_groups & -removed_groups
+            removed |= columns[low.bit_length() - 1]
+            removed_groups ^= low
+        r = rest = minpos(everything & ~removed, head_bits, pos_masks, free)
         hits = 0
-        for j in range(n):
-            if r >> j & 1:
-                hits |= group_of[j]
+        while rest:
+            low = rest & -rest
+            hits |= group_of[low.bit_length() - 1]
+            rest ^= low
         return r, hits
 
     out = []
@@ -118,12 +137,11 @@ def enum_fixpoints(
     return out
 
 
-def enum_closed(
-    n: int, head_bits: Sequence[int], pos_masks: Sequence[int], pos_ok: Sequence[bool]
-) -> list[int]:
+def enum_closed(n: int, head_bits: Sequence[int], pos_masks: Sequence[int]) -> list[int]:
     """All subsets T with minpos(T) == T, i.e. the self-supporting rule sets."""
+    free = _free(pos_masks)
     out = []
     for t in range(1 << n):
-        if minpos(t, head_bits, pos_masks, pos_ok) == t:
+        if minpos(t, head_bits, pos_masks, free) == t:
             out.append(t)
     return out

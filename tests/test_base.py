@@ -200,9 +200,7 @@ class TestEnumerationMatchesDefinition:
 
         monkeypatch.setattr(kernel_python, "minpos", counted)
         idx = _index(even_loops(8, 0).rules)
-        found = kernels.enum_fixpoints(
-            idx.n, idx.head_bits, idx.pos_masks, idx.pos_ok, idx.defeats
-        )
+        found = kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.defeats)
         assert len(found) == 256
         assert calls < 8 * 256
 

@@ -43,7 +43,37 @@ def test_override_asymmetry_is_no_property(capsys):
     assert raised.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "invalid choice: 'override-asym'" in captured.err
+    [line] = captured.err.splitlines()
+    assert line.startswith("prefas: ") and "invalid choice: 'override-asym'" in line
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["solve"], "required: file"),
+        (["transform"], "required: file"),
+        (["solve", "x.lpp", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--random", "--seed", "one"], "--seed: invalid int value: 'one'"),
+        ([], "required: command"),
+    ],
+    ids=["solve-without-file", "transform-without-file", "unknown-option", "bad-int", "no-command"],
+)
+def test_usage_errors_are_one_line(argv, words, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("prefas: ") and words in line
+
+
+def test_help_is_still_argparse_help(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["solve", "--help"])
+    assert raised.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: prefas solve") and captured.err == ""
 
 
 def test_negative_count_is_a_clean_error(capsys):

@@ -71,13 +71,13 @@ def test_each_rule_set_is_scanned_once(monkeypatch):
         drawn.add(p.rules)
         return p
 
-    def enum_closed(n, head_bits, pos_masks, pos_ok):
-        closed[tuple(head_bits), tuple(pos_masks), tuple(pos_ok)] += 1
-        return real_closed(n, head_bits, pos_masks, pos_ok)
+    def enum_closed(n, head_bits, pos_masks):
+        closed[tuple(head_bits), tuple(pos_masks)] += 1
+        return real_closed(n, head_bits, pos_masks)
 
-    def enum_fixpoints(n, head_bits, pos_masks, pos_ok, removes):
-        fixpoints[tuple(head_bits), tuple(pos_masks), tuple(pos_ok), tuple(removes)] += 1
-        return real_fixpoints(n, head_bits, pos_masks, pos_ok, removes)
+    def enum_fixpoints(n, head_bits, pos_masks, removes):
+        fixpoints[tuple(head_bits), tuple(pos_masks), tuple(removes)] += 1
+        return real_fixpoints(n, head_bits, pos_masks, removes)
 
     monkeypatch.setattr(verify, "random_lpp", draw)
     monkeypatch.setattr(kernels, "enum_closed", enum_closed)
@@ -89,7 +89,7 @@ def test_each_rule_set_is_scanned_once(monkeypatch):
     generating = Counter()
     for rules in drawn:
         idx = base._index.__wrapped__(rules)
-        tables = (idx.head_bits, idx.pos_masks, idx.pos_ok)
+        tables = (idx.head_bits, idx.pos_masks)
         lattices[tables] += 1
         generating[(*tables, idx.defeats)] += 1
     assert closed and set(closed) <= set(lattices)
