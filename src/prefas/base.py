@@ -203,7 +203,7 @@ class _Index:
                 mask |= 1 << head_id[l] if l in head_id else underived
             pos_masks.append(mask)
         self.pos_masks = tuple(pos_masks)
-        self.free = sum(1 << i for i, mask in enumerate(pos_masks) if not mask)
+        self.free = kernels.free_rules(self.pos_masks)
         negated_in: dict[Literal, int] = {}  # literal -> rules with it in their negative body
         for i, r in enumerate(rules):
             for l in r.neg_body:

@@ -23,3 +23,4 @@ BACKEND = "python"
 minpos = _active.minpos
 enum_fixpoints = _active.enum_fixpoints
 enum_closed = _active.enum_closed
+free_rules = _active.free_rules

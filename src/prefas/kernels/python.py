@@ -8,6 +8,7 @@ A program with n rules is compiled into flat tables indexed by rule number:
                 ``1 << len(head_lits)``, which no set of heads holds, so the
                 rule can never fire
   free          the rules with ``pos_masks[i] == 0``, which fire at once
+                (``free_rules(pos_masks)``)
   removes[j]    rules that rule j removes from the reduct when it is in
                 the tested subset
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _free(pos_masks: Sequence[int]) -> int:
+def free_rules(pos_masks: Sequence[int]) -> int:
     """The rules whose positive body is empty."""
     return sum(1 << i for i, mask in enumerate(pos_masks) if not mask)
 
@@ -93,7 +94,7 @@ def enum_fixpoints(
     columns = list(groups)
     every_group = (1 << len(columns)) - 1
     everything = (1 << n) - 1
-    free = _free(pos_masks)
+    free = free_rules(pos_masks)
 
     def least(removed_groups: int) -> tuple[int, int]:
         """minpos with the columns of these groups removed, and the groups
@@ -139,7 +140,7 @@ def enum_fixpoints(
 
 def enum_closed(n: int, head_bits: Sequence[int], pos_masks: Sequence[int]) -> list[int]:
     """All subsets T with minpos(T) == T, i.e. the self-supporting rule sets."""
-    free = _free(pos_masks)
+    free = free_rules(pos_masks)
     out = []
     for t in range(1 << n):
         if minpos(t, head_bits, pos_masks, free) == t:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, NamedTuple
 
 RESERVED_PREFIX = "__"
@@ -184,67 +183,26 @@ def close_preferences(
     Raises :class:`PreferenceCycleError` if the closure contains both
     ``(x, y)`` and ``(y, x)`` for any ``x, y`` (including ``x = y``), and
     :class:`KeyError` if a pair names an unknown label.
-
-    Each label a pair names gets a bit, and its row holds the labels
-    preferred over it.  One Warshall pass closes the rows: at step k every
-    row that reaches k takes on row k.  The closure is asymmetric exactly
-    when no row holds its own bit; otherwise ``_cycle_error`` names a pair
-    on a cycle.  When the pass added nothing, the written pairs are the
-    closure.
     """
     known = set(labels)
-    pairs = list(raw_pairs)
-    names = list(dict.fromkeys(chain.from_iterable(pairs)))  # in order of first use
-    if not known.issuperset(names):
-        unknown = next(name for name in names if name not in known)
-        raise KeyError(f"preference names unknown rule label {unknown!r}")
-    bit_of = {name: 1 << i for i, name in enumerate(names)}
-    above = dict.fromkeys(names, 0)
-    for lo, hi in pairs:
-        above[lo] |= bit_of[hi]
-    rows = list(above.values())
-    every = range(len(rows))
-    reached = 0  # labels some row holds; the closure reaches no others
-    for row in rows:
-        reached |= row
-    for k in every:
-        bit, row = 1 << k, rows[k]
-        if not row or not reached & bit:  # step k would change nothing
-            continue
-        for i in every:
-            if rows[i] & bit:
-                rows[i] |= row
-    if any(rows[i] >> i & 1 for i in every):
-        raise _cycle_error(pairs)
-    written = frozenset(pairs)
-    if sum(map(int.bit_count, rows)) == len(written):
-        return written
-    closed = []
-    for lo, reach in zip(names, rows):
-        while reach:
-            low = reach & -reach
-            closed.append((lo, names[low.bit_length() - 1]))
-            reach ^= low
-    return frozenset(closed)
-
-
-def _cycle_error(pairs: list[tuple[str, str]]) -> PreferenceCycleError:
-    """The error for cyclic ``pairs``: a depth-first search closes each
-    label in order of its first pair and names the first label that
-    reaches itself, with the first of its pairs that leads back to it."""
     succ: dict[str, list[str]] = {}
-    for lo, hi in pairs:
+    for lo, hi in raw_pairs:
+        for name in (lo, hi):
+            if name not in known:
+                raise KeyError(f"preference names unknown rule label {name!r}")
         succ.setdefault(lo, []).append(hi)
+
+    # the closure is asymmetric exactly when no label reaches itself
     closure: dict[str, set[str]] = {}
     for lo, his in succ.items():
         reach = closure[lo] = _reachable(his, succ, closure)
         if lo in reach:
             hi = next(h for h in his if h == lo or lo in _reachable([h], succ, {}))
-            return PreferenceCycleError(
+            raise PreferenceCycleError(
                 f"preferences are cyclic: {lo} and {hi} would each be "
                 "preferred over the other"
             )
-    raise AssertionError("the pairs have no cycle")
+    return frozenset((lo, hi) for lo, reach in closure.items() for hi in reach)
 
 
 def _reachable(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from prefas.base import gl_is_answer_set, is_consistent, minpos
 from prefas.gno import reduct_gno
 from prefas.syntax import Literal, PrefProgram, Rule, close_preferences, parse_program
+from prefas.verify import GenParams, random_lpp
 
 
 def lit(s: str) -> Literal:
@@ -198,6 +199,32 @@ def loops_with_tail(seed):
 MUTUAL_DEFAULTS = parse_program("r1: a :- not b.\nr2: c :- d, not b.\nr3: b :- not a.")
 FACT_CHAIN = parse_program("r1: a.\nr2: b :- a.\nr3: d :- c.")
 DIRECT_PAIR = parse_program("r1: a :- not b.\nr2: b :- not a.\nr2 < r1.")
+
+# Small programs for the bitmask kernels, each small enough to check on
+# every rule subset: random draws with and without preferences, even loops
+# (every rule free), loops with a tail, a program in which no rule is free
+# and one whose positive bodies read literals that no rule derives.
+NONE_FREE = parse_program(
+    "r1: a :- b.\nr2: b :- a.\nr3: c :- a, not d.\nr4: d :- c, not c.\nr5: -a :- b, not a."
+)
+UNDERIVED = parse_program(
+    "r1: a :- z.\nr2: b.\nr3: c :- b, not a.\nr4: d :- b, -z, not c.\nr5: a :- c.\nr6: e :- a, b."
+)
+KERNEL_PROGRAMS = [
+    *(
+        (f"random-{n}-{density}-{seed}", random_lpp(GenParams(
+            seed=seed, n_rules=n, n_atoms=3 + seed % 4, pref_density=density
+        )))
+        for n in (5, 7, 9)
+        for density in (0.0, 0.6)
+        for seed in range(8)
+    ),
+    *((f"even-loops-{k}", even_loops(k, k)) for k in (1, 2, 4)),
+    ("even-loops-chain", even_loops(3, 1, chain=True)),
+    *((f"loops-with-tail-{seed}", loops_with_tail(seed)) for seed in range(3)),
+    ("none-free", NONE_FREE),
+    ("underived", UNDERIVED),
+]
 
 
 # Cyclic preference texts, each with the lo and hi its error names

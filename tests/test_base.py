@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 from helpers import (
     FACT_CHAIN,
+    KERNEL_PROGRAMS,
     MUTUAL_DEFAULTS,
     even_loops,
     lit,
@@ -142,21 +143,27 @@ class TestGeneratingSets:
 # the object-level definitions over every rule subset.  Most random
 # programs of this size have one generating set; seeds 6, 18, 51 and 54
 # give several, or d-preferred sets that differ from them, at some sizes.
-LARGER_PROGRAMS = [
-    (n_rules, seed) for n_rules in (8, 10, 12) for seed in (0, 1, 6, 18, 51, 54)
+# The small programs of ``helpers.KERNEL_PROGRAMS`` add programs in which
+# every rule is free, in which none is, and whose positive bodies read
+# literals that no rule derives.
+ENUMERATED_PROGRAMS = [
+    *(
+        pytest.param(random_lpp(GenParams(seed=seed, n_rules=n_rules)), id=f"{n_rules}-{seed}")
+        for n_rules in (8, 10, 12)
+        for seed in (0, 1, 6, 18, 51, 54)
+    ),
+    *(pytest.param(p, id=name) for name, p in KERNEL_PROGRAMS),
 ]
 
 
 class TestEnumerationMatchesDefinition:
-    @pytest.mark.parametrize("n_rules,seed", LARGER_PROGRAMS)
-    def test_generating_sets(self, n_rules, seed):
-        p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
+    @pytest.mark.parametrize("p", ENUMERATED_PROGRAMS)
+    def test_generating_sets(self, p):
         expected = [r for r in subsets_in_mask_order(p) if is_generating(p, r)]
         assert generating_sets(p) == expected
 
-    @pytest.mark.parametrize("n_rules,seed", LARGER_PROGRAMS)
-    def test_preferred_generating_sets_d(self, n_rules, seed):
-        p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
+    @pytest.mark.parametrize("p", ENUMERATED_PROGRAMS)
+    def test_preferred_generating_sets_d(self, p):
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
         assert preferred_generating_sets_d(p) == expected
 

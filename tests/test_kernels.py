@@ -1,42 +1,18 @@
 """The enumeration kernels against the object-level definitions, on every
-subset of small programs: ``minpos`` against ``base.minpos``,
-``enum_closed`` against ``is_fragment`` and ``enum_fixpoints`` against
-``is_generating`` and the definitional ``reduct_d``."""
+subset of small programs: the index's sentinel bit and free rules,
+``minpos`` against ``base.minpos`` and ``enum_closed`` against
+``is_fragment``.  ``enum_fixpoints`` is checked on the same programs in
+``test_base.TestEnumerationMatchesDefinition``."""
 
 import pytest
-from helpers import even_loops, loops_with_tail, subsets_in_mask_order
+from helpers import KERNEL_PROGRAMS, subsets_in_mask_order
 
-from prefas import base, direct, kernels
-from prefas.base import is_generating, minpos
+from prefas import base, kernels
+from prefas.base import minpos
 from prefas.fragments import is_fragment
-from prefas.syntax import parse_program
-from prefas.verify import GenParams, random_lpp
 
-# every positive body names a head, and none is empty
-NONE_FREE = parse_program(
-    "r1: a :- b.\nr2: b :- a.\nr3: c :- a, not d.\nr4: d :- c, not c.\nr5: -a :- b, not a."
-)
-# r1 and r4 read literals that no rule derives
-UNDERIVED = parse_program(
-    "r1: a :- z.\nr2: b.\nr3: c :- b, not a.\nr4: d :- b, -z, not c.\nr5: a :- c.\nr6: e :- a, b."
-)
-
-PROGRAMS = [
-    *(
-        (f"random-{n}-{density}-{seed}", random_lpp(GenParams(
-            seed=seed, n_rules=n, n_atoms=3 + seed % 4, pref_density=density
-        )))
-        for n in (5, 7, 9)
-        for density in (0.0, 0.6)
-        for seed in range(8)
-    ),
-    *((f"even-loops-{k}", even_loops(k, k)) for k in (1, 2, 4)),
-    ("even-loops-chain", even_loops(3, 1, chain=True)),
-    *((f"loops-with-tail-{seed}", loops_with_tail(seed)) for seed in range(3)),
-    ("none-free", NONE_FREE),
-    ("underived", UNDERIVED),
-]
-IDS = [name for name, _ in PROGRAMS]
+PROGRAMS = [p for _, p in KERNEL_PROGRAMS]
+IDS = [name for name, _ in KERNEL_PROGRAMS]
 
 
 def _tables(p):
@@ -48,14 +24,14 @@ def _sentinel(idx):
 
 
 def test_the_programs_cover_free_rules_and_the_sentinel():
-    indexes = [_tables(p) for _, p in PROGRAMS]
+    indexes = [_tables(p) for p in PROGRAMS]
     everything = [(1 << idx.n) - 1 for idx in indexes]
     assert any(idx.free == full for idx, full in zip(indexes, everything))  # all free
     assert any(idx.free == 0 for idx in indexes)  # none free
     assert any(m & _sentinel(idx) for idx in indexes for m in idx.pos_masks)
 
 
-@pytest.mark.parametrize("p", [p for _, p in PROGRAMS], ids=IDS)
+@pytest.mark.parametrize("p", PROGRAMS, ids=IDS)
 def test_tables_mark_underived_literals_and_free_rules(p):
     idx = _tables(p)
     heads = set(idx.head_lits)
@@ -65,7 +41,7 @@ def test_tables_mark_underived_literals_and_free_rules(p):
         assert (idx.free >> i & 1) == (not r.pos_body)
 
 
-@pytest.mark.parametrize("p", [p for _, p in PROGRAMS], ids=IDS)
+@pytest.mark.parametrize("p", PROGRAMS, ids=IDS)
 def test_minpos_matches_the_rule_level_definition(p):
     idx = _tables(p)
     for mask, labels in enumerate(subsets_in_mask_order(p)):
@@ -73,20 +49,8 @@ def test_minpos_matches_the_rule_level_definition(p):
         assert kernels.minpos(mask, idx.head_bits, idx.pos_masks, idx.free) == want
 
 
-@pytest.mark.parametrize("p", [p for _, p in PROGRAMS], ids=IDS)
+@pytest.mark.parametrize("p", PROGRAMS, ids=IDS)
 def test_enum_closed_finds_the_fragments(p):
     idx = _tables(p)
     want = [m for m, labels in enumerate(subsets_in_mask_order(p)) if is_fragment(p, labels)]
     assert kernels.enum_closed(idx.n, idx.head_bits, idx.pos_masks) == want
-
-
-@pytest.mark.parametrize("p", [p for _, p in PROGRAMS], ids=IDS)
-def test_enum_fixpoints_finds_the_generating_sets(p):
-    idx = _tables(p)
-    subsets = list(enumerate(subsets_in_mask_order(p)))
-    want = [m for m, labels in subsets if is_generating(p, labels)]
-    assert kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.defeats) == want
-    # the d reduct's column table, against its definition
-    want_d = [m for m, labels in subsets if minpos(direct.reduct_d(p, labels)) == labels]
-    removes = direct._removes(p, idx)
-    assert kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, removes) == want_d
