@@ -11,8 +11,8 @@ the self-supporting ones, and ``minpos`` computes one least fixpoint.
 
 The tables are described in ``python``: ``pos_masks`` marks a body
 literal that no rule derives with one sentinel bit, and ``minpos`` takes
-``free``, the rules with an empty positive body, and returns a set of
-them at once.  Each kernel walks the set bits of its masks, not all n
+``free``, the rules with an empty positive body (``free_rules``), and
+returns a set of them at once.  Each kernel walks the set bits of its masks, not all n
 rules.
 """
 
