@@ -26,11 +26,12 @@ The defeat relation is kept once, as ``defeats[j]``, the rules that rule j
 defeats: it is the column table of the generating-set search, and it
 gives each fragment the rules it defeats.  It is built from one mask per
 negative-body literal, in time linear in the program.  The preference
-semantics filter these tables with the preference pairs, read one pair at
-a time: ``d`` strikes the directly overridden pairs out of ``defeats``,
-and ``gno`` and ``g`` test each rule i against ``attacks(R & ~M_i)``, the
-memoised rules that minpos(R minus M_i) defeats, each with its own mask
-M_i built from the rows of ``_less_masks``.  Each has a
+semantics filter these tables with the program's closed preference rows,
+``less[i]`` the rules that rule i is preferred over: ``d`` strikes the
+directly overridden pairs out of ``defeats``, walking only the bits of a
+row that the rule defeats, and ``gno`` and ``g`` test each rule i against
+``attacks(R & ~M_i)``, the memoised rules that minpos(R minus M_i)
+defeats, each with its own mask M_i built from ``less[i]``.  Each has a
 ``_preferred_masks(p, bounds)`` that returns the index and its preferred
 generating sets as masks, and every semantics, the plain one included,
 turns masks into answer sets in the one dedup step of
@@ -277,21 +278,12 @@ def _compiled(p: ProgramLike, bounds: Bounds | None, field: str = "max_rules") -
     return idx
 
 
-def _less_masks(p: PrefProgram) -> list[int]:
-    """less[i]: the rules that rule i is preferred over; all 0 without
-    preferences."""
-    position = {r.label: i for i, r in enumerate(p.rules)}
-    less = [0] * len(p.rules)
-    for lo, hi in p.prefs:
-        less[position[hi]] |= 1 << position[lo]
-    return less
-
-
 def _beaten(idx: _Index, less: Sequence[int], r: int, rules: int, attacked: int) -> Iterator[int]:
     """The rules i of ``rules``, each as its bit and ascending, that
-    minpos(r minus M_i) defeats, where M_i = attacked ∩ less[i].  ``gno``
-    passes every rule as ``attacked``, so M_i = less[i]; ``g`` passes A(D)
-    for a part D outside ``r``, as the ``fragments`` description explains."""
+    minpos(r minus M_i) defeats, where M_i = attacked ∩ less[i] and ``less``
+    is the program's ``PrefProgram.less``.  ``gno`` passes every rule as
+    ``attacked``, so M_i = less[i]; ``g`` passes A(D) for a part D outside
+    ``r``, as the ``fragments`` description explains."""
     while rules:
         low = rules & -rules
         rules ^= low

@@ -31,12 +31,19 @@ def directly_overrides(r1: Rule, r2: Rule, prefs: Collection[tuple[str, str]]) -
 
 def _removes(p: PrefProgram, idx: _Index) -> tuple[int, ...]:
     """removes[j]: the rules that rule j removes from the reduct, the rules
-    it defeats less those that directly override it."""
-    removes = list(idx.defeats)
-    for lo, hi in p.prefs:
-        j, i = idx.position[lo], idx.position[hi]
-        if idx.defeats[i] >> j & 1 and idx.defeats[j] >> i & 1:
-            removes[j] &= ~(1 << i)
+    it defeats less those that directly override it.  Rule i directly
+    overrides each rule j of ``less[i]`` that it defeats and that defeats
+    it back, so only those bits of the rows are walked."""
+    defeats = idx.defeats
+    removes = list(defeats)
+    for i, row in enumerate(p.less):
+        below = row & defeats[i]
+        while below:
+            low = below & -below
+            below ^= low
+            j = low.bit_length() - 1
+            if defeats[j] >> i & 1:
+                removes[j] &= ~(1 << i)
     return tuple(removes)
 
 

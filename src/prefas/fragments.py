@@ -70,7 +70,6 @@ from .base import (
     _beaten,
     _compiled,
     _Index,
-    _less_masks,
     generating_sets,
     minpos,
     rules_of,
@@ -130,7 +129,7 @@ def overrides(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
 
 
 def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
-    """``overrides`` on fragment masks, with ``less`` from ``_less_masks``."""
+    """``overrides`` on fragment masks, with ``less`` from ``PrefProgram.less``."""
     dx = x & idx.fragments[y]  # rules of x that y defeats
     dy = y & idx.fragments[x]
     if dx == 0 or dy == 0:  # not conflicting
@@ -160,7 +159,7 @@ def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
         if mask not in idx.fragments:
             raise ValueError(f"{sorted(m)} is not a fragment of the program")
         e_masks.append(mask)
-    less = _less_masks(p)
+    less = p.less
     frags = idx.fragments
     return frozenset(
         idx.labels_of(x)
@@ -197,7 +196,7 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     R, as masks, ascending; one fragment D | R is tested per outside part D
     free of robust rules, as the module description explains."""
     idx = _lattice_index(p, bounds)
-    less = _less_masks(p)
+    less = p.less
     everything = (1 << idx.n) - 1
     out = []
     for labels in generating_sets(p, bounds):

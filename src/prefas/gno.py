@@ -32,7 +32,6 @@ from .base import (
     _beaten,
     _compiled,
     _Index,
-    _less_masks,
     minpos,
 )
 from .syntax import PrefProgram, Rule
@@ -68,7 +67,7 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     minpos(R) = R.
     """
     idx = _compiled(p, bounds)
-    less = _less_masks(p)
+    less = p.less
     everything = (1 << idx.n) - 1
     out = []
     for r in idx.generating:

@@ -26,19 +26,21 @@ compares and sorts as that plain tuple does, and compares equal to it, so
 ``(label, head, pos_body, neg_body)`` and compares equal to that plain
 tuple.
 
-The preference relation a user writes can be any set of pairs; it is closed
-transitively here, and rejected if the closure is not asymmetric (i.e. the
+The preference relation a user writes can be any set of pairs; a program
+keeps the pairs as written and closes them transitively into one bit row
+per rule, and it is rejected if the closure is not asymmetric (i.e. the
 written pairs contain a directed cycle).
 
-Parsing makes one ``findall`` pass of a compiled regular expression over the
-text.  Each match skips blanks and a comment, then yields one token as a
-plain string; a character that starts no token becomes a one-character
-token of its own, and the empty match at the end of the text marks the end
-of input.  The parse loop reads that list by index and tracks no positions.
-Only a :class:`ParseError` scans the text again, up to the failing token,
-and turns the token's offset into a line and a column: lines end at ``\n``,
-and a tab or ``\r`` is one column.  A text holding a character that starts
-no token is reported at the first such character, before any other error.
+Parsing makes one ``findall`` pass of a compiled statement expression over
+the text.  Each match is a whole preference ``lo < hi``, a whole rule
+``label: head :- body`` with its terminator, a blank or comment line, or a
+single character that starts none of these; body items are split by a
+second expression, since an argument part such as ``p(a, b)`` may hold
+commas.  That pass has no error text of its own.  When a character matches
+no statement, an atom is ``not`` or reserved, a label or a rule repeats, or
+a pair names an unknown label, the text is parsed again by the token
+parser of :mod:`prefas.tokens`, which reports the error with its line and
+column; that module is imported on first need.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 RESERVED_PREFIX = "__"
 
@@ -117,18 +119,34 @@ class Rule(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PrefProgram:
-    """A rule set with a transitively closed, asymmetric order on labels.
+    """A rule set with a strict preference order on its labels.
 
-    ``prefs`` contains pairs ``(lo, hi)`` meaning ``hi`` is preferred over
-    ``lo``.  ``raw_prefs`` keeps the pairs exactly as written in the source,
-    before closure.  Two programs are equal when they have the same rules
-    and the same closed preference relation; rule order and the raw pairs do
-    not take part in equality.
+    ``pairs`` holds the ``(lo, hi)`` pairs meaning ``hi`` is preferred over
+    ``lo``, as written in the source; any acyclic pair set will do, closed
+    or not.  ``less[i]`` is their transitive closure as bits: the rules that
+    rule i is preferred over, bit j for rule j in source order.  It is built
+    on first use, by the parser at once, and raises
+    :class:`PreferenceCycleError` on a cycle and ``KeyError`` on an unknown
+    label.  ``prefs`` is the closed relation as a pair set.  Two
+    programs are equal when they have the same rules and the same closed
+    relation; rule order and the written pairs do not take part in
+    equality.
     """
 
     rules: tuple[Rule, ...]
-    prefs: frozenset[tuple[str, str]] = frozenset()
-    raw_prefs: tuple[tuple[str, str], ...] = ()
+    pairs: Collection[tuple[str, str]] = ()
+
+    @cached_property
+    def less(self) -> tuple[int, ...]:
+        if not self.pairs:
+            return (0,) * len(self.rules)
+        return _closed_rows({r.label: i for i, r in enumerate(self.rules)}, self.pairs)
+
+    @cached_property
+    def prefs(self) -> frozenset[tuple[str, str]]:
+        if not self.pairs:
+            return frozenset()
+        return _closed_pairs(self.labels(), self.less)
 
     @cached_property
     def _identity(self) -> tuple[frozenset[Rule], frozenset[tuple[str, str]]]:
@@ -175,6 +193,86 @@ class PrefProgram:
         return (lo, hi) in self.prefs
 
 
+def _closed_rows(position: dict[str, int], pairs: Collection[tuple[str, str]]) -> tuple[int, ...]:
+    """The transitive closure of ``pairs`` as one bit row per label:
+    ``rows[position[hi]]`` holds bit ``position[lo]`` for each ``lo`` below
+    ``hi``.
+
+    One post-order DFS over the edges hi -> lo gives each row as the OR of
+    (bit lo | row[lo]) over its written pairs.  A label met again while it is
+    on the stack closes a cycle; the rows are then completed by propagation,
+    and the error names the first ``lo`` in pair order whose row holds its
+    own bit, with its first written ``hi`` that lies below it again.  Raises
+    ``KeyError`` for the first label, in pair order, missing from
+    ``position``.
+    """
+    n = len(position)
+    below: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for lo, hi in pairs:
+            j = position[lo]
+            below[position[hi]].append(j)
+    except KeyError as missing:
+        raise KeyError(f"preference names unknown rule label {missing.args[0]!r}") from None
+
+    rows = [0] * n
+    state = bytearray(n)  # 0 unseen, 1 on the stack, 2 closed
+    cyclic = False
+    for root in range(n):
+        if state[root] or not below[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(below[root]))]
+        while stack:
+            node, children = stack[-1]
+            row = rows[node]
+            for child in children:
+                seen = state[child]
+                if not seen:
+                    if below[child]:
+                        state[child] = 1
+                        stack.append((child, iter(below[child])))
+                        break
+                    state[child] = 2  # a leaf: its row stays 0
+                elif seen == 1:
+                    cyclic = True
+                row |= 1 << child | rows[child]
+            else:
+                state[node] = 2
+                stack.pop()
+                if stack:
+                    rows[stack[-1][0]] |= 1 << node | row
+            rows[node] = row
+    if cyclic:
+        changed = True
+        while changed:
+            changed = False
+            for hi, los in enumerate(below):
+                row = rows[hi]
+                for lo in los:
+                    row |= 1 << lo | rows[lo]
+                if row != rows[hi]:
+                    rows[hi], changed = row, True
+        lo = next(lo for lo, _ in pairs if rows[position[lo]] >> position[lo] & 1)
+        row = rows[position[lo]]
+        hi = next(h for l, h in pairs if l == lo and row >> position[h] & 1)
+        raise PreferenceCycleError(
+            f"preferences are cyclic: {lo} and {hi} would each be preferred over the other"
+        )
+    return tuple(rows)
+
+
+def _closed_pairs(labels: Sequence[str], rows: Sequence[int]) -> frozenset[tuple[str, str]]:
+    """The pairs ``(lo, hi)`` that the bit rows of ``labels`` hold."""
+    out = []
+    for hi, row in zip(labels, rows):
+        while row:
+            low = row & -row
+            out.append((labels[low.bit_length() - 1], hi))
+            row ^= low
+    return frozenset(out)
+
+
 def close_preferences(
     raw_pairs: Iterable[tuple[str, str]], labels: Iterable[str]
 ) -> frozenset[tuple[str, str]]:
@@ -184,181 +282,104 @@ def close_preferences(
     ``(x, y)`` and ``(y, x)`` for any ``x, y`` (including ``x = y``), and
     :class:`KeyError` if a pair names an unknown label.
     """
-    known = set(labels)
-    succ: dict[str, list[str]] = {}
-    for lo, hi in raw_pairs:
-        for name in (lo, hi):
-            if name not in known:
-                raise KeyError(f"preference names unknown rule label {name!r}")
-        succ.setdefault(lo, []).append(hi)
-
-    # the closure is asymmetric exactly when no label reaches itself
-    closure: dict[str, set[str]] = {}
-    for lo, his in succ.items():
-        reach = closure[lo] = _reachable(his, succ, closure)
-        if lo in reach:
-            hi = next(h for h in his if h == lo or lo in _reachable([h], succ, {}))
-            raise PreferenceCycleError(
-                f"preferences are cyclic: {lo} and {hi} would each be "
-                "preferred over the other"
-            )
-    return frozenset((lo, hi) for lo, reach in closure.items() for hi in reach)
+    names = tuple(dict.fromkeys(labels))
+    rows = _closed_rows({name: i for i, name in enumerate(names)}, tuple(raw_pairs))
+    return _closed_pairs(names, rows)
 
 
-def _reachable(
-    start: Iterable[str], succ: dict[str, list[str]], closure: dict[str, set[str]]
-) -> set[str]:
-    """Every label reachable from ``start`` along ``succ``, ``start``
-    included; a label in ``closure`` contributes its known reach at once."""
-    seen: set[str] = set()
-    stack = list(start)
-    while stack:
-        name = stack.pop()
-        if name not in seen:
-            seen.add(name)
-            known = closure.get(name)
-            if known is None:
-                stack.extend(succ.get(name, ()))
-            else:
-                seen |= known
-    return seen
-
-
-# Each match skips blanks and comments, then captures one token: an
-# identifier (a label, or an atom with its argument part), a punctuation
-# mark, a newline, any other single character (it starts no token and is
-# reported), or the empty string at the end of the text.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:%[^\n]*)?"
-    r"([A-Za-z_][A-Za-z0-9_]*(?:\([^()]*\))?|:-|[.,:<\n-]|.|\Z)"
+# The statement pass.  Between tokens the token parser skips blanks, and a
+# comment only before a newline or the end; ``not`` is the keyword only as
+# a whole identifier, and ``:`` before ``-`` is the token ``:-``.
+_W = r"[ \t\r]*"
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_LITERAL = rf"(?:-{_W})?{_ID}(?:\([^()]*\))?"
+_ITEM = rf"(?:not(?![A-Za-z0-9_(]){_W})?{_LITERAL}"
+_COMMENT = r"(?:%[^\n]*)?"
+# Each match is one statement with its terminator and, after a '.', the
+# rest of its line when that is blank: groups (label, hi) for ``label <
+# hi``, (label, head, body) for a rule; a blank or comment line, or the
+# empty match at the end, has no group; any other character is the last
+# group, and the token parser takes over.
+_STATEMENT_RE = re.compile(
+    rf"{_W}(?:({_ID}){_W}(?:<{_W}({_ID})|:(?!-){_W}({_LITERAL})"
+    rf"(?:{_W}:-{_W}({_ITEM}(?:{_W},{_W}{_ITEM})*))?)"
+    rf"{_W}(?:\.(?:{_W}{_COMMENT}\n)?|{_COMMENT}(?:\n|\Z))|{_COMMENT}(?:\n|\Z))"
+    r"|(.)"
 )
-_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-_PUNCTUATION = frozenset((":-", ".", ",", ":", "<", "-", "\n"))
+# One body item: (literal, "") under ``not``, else ("", literal)
+_ITEM_RE = re.compile(rf"not(?![A-Za-z0-9_(]){_W}({_LITERAL})|({_LITERAL})")
 
 
-def _error(text: str, tokens: list[str], k: int, message: str) -> ParseError:
-    """The error for token ``k``, located by scanning the text once more.
+class _NotAStatement(Exception):
+    """The statement pass cannot read the text; the token parser reports why."""
 
-    A character that starts no token anywhere in the text is reported in
-    its place: the grammar cannot accept such a text, and the first of
-    them is the first error a reader meets.
-    """
-    for j, tok in enumerate(tokens):
-        if len(tok) == 1 and tok not in _ID_START and tok not in _PUNCTUATION:
-            k, message = j, f"unexpected character {tok!r}"
-            break
-    for _, m in zip(range(k + 1), _TOKEN_RE.finditer(text)):
-        pass
-    offset = m.start(1)
-    line = text.count("\n", 0, offset) + 1
-    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+def _parse_statements(text: str, allow_reserved: bool) -> PrefProgram:
+    """The program of a text that the statement pass reads whole, with its
+    preference rows built; raises :class:`_NotAStatement` when the text
+    holds anything the token parser would reject, a preference cycle
+    apart, which raises :class:`PreferenceCycleError` as there."""
+    literals: dict[str, Literal] = {}  # literal text -> literal
+
+    def literal(written: str) -> Literal:
+        positive = written[0] != "-"
+        atom = written if positive else written[1:].lstrip(" \t\r")
+        if atom == "not" or atom.startswith(RESERVED_PREFIX) and not allow_reserved:
+            raise _NotAStatement
+        lit = literals[written] = Literal(atom, positive)
+        return lit
+
+    rules: list[Rule] = []
+    position: dict[str, int] = {}  # label -> index of its rule
+    seen_bodies: set[tuple[Literal, frozenset[Literal], frozenset[Literal]]] = set()
+    pairs: list[tuple[str, str]] = []
+    for label, hi, head, body, other in _STATEMENT_RE.findall(text):
+        if hi:
+            pairs.append((label, hi))
+        elif head:
+            if label in position:
+                raise _NotAStatement
+            head_lit = literals.get(head) or literal(head)
+            pos: list[Literal] = []
+            neg: list[Literal] = []
+            if body:
+                for negative, positive in _ITEM_RE.findall(body):
+                    if negative:
+                        neg.append(literals.get(negative) or literal(negative))
+                    else:
+                        pos.append(literals.get(positive) or literal(positive))
+            rule = Rule(label, head_lit, frozenset(pos), frozenset(neg))
+            key = (head_lit, rule.pos_body, rule.neg_body)
+            if key in seen_bodies:
+                raise _NotAStatement
+            seen_bodies.add(key)
+            position[label] = len(rules)
+            rules.append(rule)
+        elif other:
+            raise _NotAStatement
+    try:
+        rows = _closed_rows(position, pairs)  # also the cycle check
+    except KeyError:  # a pair names an unknown label
+        raise _NotAStatement from None
+    program = PrefProgram(tuple(rules), tuple(pairs))
+    object.__setattr__(program, "less", rows)  # kept, so the solver need not build them again
+    return program
 
 
 def parse_program(text: str, allow_reserved: bool = False) -> PrefProgram:
     """Parse program text into a :class:`PrefProgram`.
 
-    Rules come out in source order and ``raw_prefs`` holds the preference
-    pairs exactly as written; ``prefs`` is their transitive closure.  Set
+    Rules come out in source order and ``pairs`` holds the preference pairs
+    exactly as written; ``prefs`` is their transitive closure.  Set
     ``allow_reserved`` to accept ``__``-prefixed atoms, e.g. when reading
     back a generated program.
     """
-    tokens = _TOKEN_RE.findall(text)  # ends with "" for the end of input
-    literals: tuple[dict[str, Literal], dict[str, Literal]] = ({}, {})
+    try:
+        return _parse_statements(text, allow_reserved)
+    except _NotAStatement:
+        from . import tokens  # imported only when the statement pass declines a text
 
-    def expected(k: int, what: str) -> ParseError:
-        return _error(text, tokens, k, f"expected {what}, found {tokens[k] or 'end of input'!r}")
-
-    def literal(k: int) -> tuple[Literal, int]:
-        """The literal starting at token ``k`` and the index after it."""
-        positive = tokens[k] != "-"
-        if not positive:
-            k += 1
-        atom = tokens[k]
-        lit = literals[positive].get(atom)
-        if lit is None:
-            if atom[:1] not in _ID_START:
-                raise expected(k, "an atom")
-            if atom == "not":
-                raise _error(text, tokens, k, "'not' is a keyword, not an atom")
-            if atom.startswith(RESERVED_PREFIX) and not allow_reserved:
-                raise _error(
-                    text, tokens, k,
-                    f"atom {atom!r} uses the reserved {RESERVED_PREFIX!r} prefix",
-                )
-            lit = literals[positive][atom] = Literal(atom, positive)
-        return lit, k + 1
-
-    def end_statement(k: int) -> int:
-        tok = tokens[k]
-        if tok == ".":
-            return k + 1
-        if tok == "\n" or not tok:  # one statement per line is also accepted
-            return k
-        raise _error(text, tokens, k, f"expected '.' or end of line, found {tok!r}")
-
-    rules: list[Rule] = []
-    seen_labels: set[str] = set()
-    seen_bodies: set[tuple[Literal, frozenset[Literal], frozenset[Literal]]] = set()
-    raw_pairs: list[tuple[str, str]] = []
-    pair_at: list[int] = []  # token index of each pair's first label
-    i = 0
-    while True:
-        label = tokens[i]
-        if label == "\n":
-            i += 1
-            continue
-        if not label:
-            break
-        if label[:1] not in _ID_START:
-            raise expected(i, "a rule label")
-        if "(" in label:
-            raise _error(text, tokens, i, f"invalid label {label!r}")
-        label_at = i
-        after = tokens[i + 1]
-        i += 2
-        if after == "<":
-            if tokens[i][:1] not in _ID_START:
-                raise expected(i, "a rule label")
-            raw_pairs.append((label, tokens[i]))
-            pair_at.append(label_at)
-            i = end_statement(i + 1)
-            continue
-        if after != ":":
-            raise _error(text, tokens, i - 1, f"expected ':' or '<' after label {label!r}")
-        if label in seen_labels:
-            raise _error(text, tokens, label_at, f"duplicate rule label {label!r}")
-        head, i = literal(i)
-        pos: list[Literal] = []
-        neg: list[Literal] = []
-        if tokens[i] == ":-":
-            while True:
-                i += 1
-                if tokens[i] == "not":
-                    lit, i = literal(i + 1)
-                    neg.append(lit)
-                else:
-                    lit, i = literal(i)
-                    pos.append(lit)
-                if tokens[i] != ",":
-                    break
-        i = end_statement(i)
-        rule = Rule(label, head, frozenset(pos), frozenset(neg))
-        key = (head, rule.pos_body, rule.neg_body)
-        if key in seen_bodies:
-            raise _error(
-                text, tokens, label_at,
-                f"rule {label!r} duplicates an earlier rule (same head and body)",
-            )
-        seen_bodies.add(key)
-        seen_labels.add(label)
-        rules.append(rule)
-
-    for (lo, hi), k in zip(raw_pairs, pair_at):
-        for name in (lo, hi):
-            if name not in seen_labels:
-                raise _error(text, tokens, k, f"preference names unknown rule label {name!r}")
-    closed = close_preferences(raw_pairs, seen_labels)
-    return PrefProgram(tuple(rules), closed, tuple(raw_pairs))
+        return tokens.parse_tokens(text, allow_reserved)
 
 
 def format_program(p: PrefProgram) -> str:

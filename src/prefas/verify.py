@@ -22,7 +22,7 @@ from .base import AnswerSet, Bounds, answer_sets, gr, is_stratified
 from .direct import preferred_answer_sets_d
 from .fragments import FragmentFamily, preferred_answer_sets_g
 from .gno import preferred_answer_sets_gno
-from .syntax import Literal, PrefProgram, Rule, close_preferences, format_program
+from .syntax import Literal, PrefProgram, Rule, format_program
 from .transform import check_correspondence
 
 SEMANTICS = ("d", "g", "gno")
@@ -185,13 +185,19 @@ def check_monotonicity(
     bounds: Bounds | None = None,
     families: Families | None = None,
 ) -> list[Violation]:
-    """Growing the preference relation may only shrink the preferred sets."""
-    rules = rules.rules if isinstance(rules, PrefProgram) else tuple(rules)
+    """Growing the preference relation may only shrink the preferred sets.
+
+    ``prefs1`` and ``prefs2`` are acyclic pair sets, written or closed, and
+    ``prefs1`` must be a subset of ``prefs2``; a violation names the closure
+    of ``prefs1``.  A program given with ``prefs2`` as its closed relation
+    is checked as it is."""
+    given = rules if isinstance(rules, PrefProgram) else PrefProgram(tuple(rules))
+    rules = given.rules
     prefs1, prefs2 = frozenset(prefs1), frozenset(prefs2)
     if not prefs1 <= prefs2:
         raise ValueError("prefs1 must be a subset of prefs2")
     p1 = PrefProgram(rules, prefs1)
-    p2 = PrefProgram(rules, prefs2)
+    p2 = given if given.prefs == prefs2 else PrefProgram(rules, prefs2)
     for semantics in ("g", "gno"):
         strong = preferred_families(p2, semantics, bounds, families)
         weak = preferred_families(p1, semantics, bounds, families)
@@ -201,7 +207,7 @@ def check_monotonicity(
                 p2,
                 {
                     "semantics": semantics,
-                    "prefs1": sorted(prefs1),
+                    "prefs1": sorted(p1.prefs),
                     "escaped": _sorted_family(strong - weak),
                 },
             )]
@@ -284,12 +290,11 @@ def _strat_eq(
 def _monotonicity(
     p: PrefProgram, bounds: Bounds | None, draw: GenParams | None, families: Families
 ) -> list[Violation]:
-    weaker = frozenset()
+    weaker: list[tuple[str, str]] = []
     if draw is not None:
         rng = random.Random(f"{draw.seed}/aux")
-        sub = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
-        weaker = close_preferences(sub, [r.label for r in p.rules])
-    return check_monotonicity(p.rules, weaker, p.prefs, bounds, families)
+        weaker = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
+    return check_monotonicity(p, weaker, p.prefs, bounds, families)
 
 
 _CHECKS = {
@@ -382,7 +387,7 @@ def random_lpp(params: GenParams) -> PrefProgram:
         for j in range(i + 1, len(order))
         if rng.random() < params.pref_density
     ]
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+    return PrefProgram(tuple(rules), tuple(pairs))
 
 
 def violation_lines(violations: Sequence[Violation]) -> list[str]:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from prefas.base import gl_is_answer_set, is_consistent, minpos
 from prefas.gno import reduct_gno
-from prefas.syntax import Literal, PrefProgram, Rule, close_preferences, parse_program
+from prefas.syntax import Literal, PrefProgram, Rule, parse_program
 from prefas.verify import GenParams, random_lpp
 
 
@@ -71,6 +71,22 @@ def closure_by_composition(pairs):
         if not new:
             return frozenset(closed)
         closed |= new
+
+
+def random_pairs(rng, labels, acyclic):
+    """Random (lo, hi) pairs over ``labels``; with ``acyclic`` each pair
+    rises in one shuffled order, so no cycle can form."""
+    order = rng.sample(labels, len(labels))
+    pairs = []
+    for _ in range(rng.randint(0, 2 * len(labels))):
+        lo, hi = rng.choice(labels), rng.choice(labels)
+        if acyclic:
+            if lo == hi:
+                continue
+            if order.index(lo) > order.index(hi):
+                lo, hi = hi, lo
+        pairs.append((lo, hi))
+    return pairs
 
 
 def defeater_masks_by_pairs(rules):
@@ -141,7 +157,7 @@ def small_programs(draw, max_rules=5, with_prefs=True):
             for j in range(i + 1, len(labels)):
                 if draw(st.booleans()):
                     pairs.append((labels[i], labels[j]))
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+    return PrefProgram(tuple(rules), tuple(pairs))
 
 
 def even_loops(k: int, seed: int, chain: bool = False) -> PrefProgram:
@@ -171,7 +187,7 @@ def even_loops(k: int, seed: int, chain: bool = False) -> PrefProgram:
         (x, y) for x in labels for y in labels if x[1:] != y[1:] and rank[x] < rank[y]
     ]
     pairs += rng.sample(across, min(3, len(across)))
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+    return PrefProgram(tuple(rules), tuple(pairs))
 
 
 def loops_with_tail(seed):
@@ -193,7 +209,7 @@ def loops_with_tail(seed):
     labels = [r.label for r in rules]
     order = rng.sample(labels, len(labels))
     pairs = [(x, y) for i, x in enumerate(order) for y in order[i + 1:] if rng.random() < 0.5]
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+    return PrefProgram(tuple(rules), tuple(pairs))
 
 
 MUTUAL_DEFAULTS = parse_program("r1: a :- not b.\nr2: c :- d, not b.\nr3: b :- not a.")

@@ -20,7 +20,6 @@ from prefas.base import (
     AnswerSet,
     Bounds,
     _beaten,
-    _less_masks,
     answer_sets,
     defeats,
     generating_sets,
@@ -117,7 +116,7 @@ class TestOverrides:
         for seed in range(40):
             p = random_lpp(GenParams(seed=seed))
             idx = _lattice_index(p, Bounds())
-            less = _less_masks(p)
+            less = p.less
             for x, y in itertools.product(idx.fragments, repeat=2):
                 expected = overrides(p, idx.labels_of(x), idx.labels_of(y))
                 assert _mask_overrides(idx, less, x, y) == expected
@@ -419,7 +418,7 @@ class TestOutsidePartLemma:
     @pytest.mark.parametrize("p", SEVERAL_GENERATING_SETS)
     def test_part_test_matches_the_pairwise_definition(self, p):
         idx = _lattice_index(p, Bounds())
-        less = _less_masks(p)
+        less = p.less
         frags = [t for t in subsets_in_mask_order(p) if is_fragment(p, t)]
         gens = generating_sets(p)
         assert len(gens) > 1
@@ -446,7 +445,7 @@ class TestOutsidePartLemma:
         for param in SEVERAL_GENERATING_SETS:
             p = param.values[0]
             idx = _lattice_index(p, Bounds())
-            less = _less_masks(p)
+            less = p.less
             for r in map(idx.mask_of, generating_sets(p)):
                 robust += robust_rules(idx, less, r).bit_count()
                 survivors += sum(
@@ -467,7 +466,7 @@ class TestOverrideAsymmetry:
     @staticmethod
     def assert_asymmetric(p):
         idx = _lattice_index(p, Bounds())
-        less = _less_masks(p)
+        less = p.less
         frags = list(idx.fragments)
         for i, x in enumerate(frags):
             for y in frags[i + 1 :]:

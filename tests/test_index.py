@@ -7,11 +7,14 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
+    KERNEL_PROGRAMS,
+    closure_by_composition,
     d_remover_by_pairs,
     defeater_masks_by_pairs,
     even_loops,
     less_masks_by_pairs,
     loops_with_tail,
+    random_pairs,
     small_programs,
     transpose,
 )
@@ -23,7 +26,7 @@ from prefas.base import Bounds, answer_sets, generating_sets
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
 from prefas.gno import preferred_answer_sets_gno
-from prefas.syntax import BoundExceededError
+from prefas.syntax import BoundExceededError, PrefProgram
 from prefas.verify import GenParams, fuzz
 
 RUN = fixtures.load("indirect_conflict")
@@ -133,7 +136,7 @@ def _assert_tables_match_the_oracles(p, lattice=True):
     idx = base._index.__wrapped__(p.rules)
     defeaters = defeater_masks_by_pairs(p.rules)
     assert list(idx.defeats) == transpose(defeaters, n)
-    assert base._less_masks(p) == less_masks_by_pairs(p)
+    assert list(p.less) == less_masks_by_pairs(p)
     assert list(direct._removes(p, idx)) == transpose(d_remover_by_pairs(p), n)
     if lattice:  # each fragment maps to the rules it defeats
         for f, defeated in idx.fragments.items():
@@ -171,6 +174,41 @@ class TestTablesMatchOracles:
             idx = base._index.__wrapped__(p.rules)
             differs += direct._removes(p, idx) != idx.defeats
         assert differs
+
+
+def _assert_rows_match_the_oracles(rules, written):
+    """The closed rows and the ``d`` table of ``rules`` under ``written``
+    equal the pair-by-pair oracles, whether the program is given the
+    written pairs or their closure; returns whether the ``d`` table
+    differs from ``defeats``."""
+    n = len(rules)
+    closed = closure_by_composition(written)
+    idx = base._index.__wrapped__(rules)
+    programs = [PrefProgram(rules, tuple(written)), PrefProgram(rules, closed)]
+    for p in programs:
+        assert p.prefs == closed
+        assert list(p.less) == less_masks_by_pairs(p)
+        assert list(direct._removes(p, idx)) == transpose(d_remover_by_pairs(p), n)
+    assert programs[0] == programs[1] and hash(programs[0]) == hash(programs[1])
+    return direct._removes(programs[0], idx) != idx.defeats
+
+
+class TestPreferenceRows:
+    """``PrefProgram.less`` is built by a DFS over the written pairs, and
+    ``direct._removes`` walks its mutual-defeat bits."""
+
+    @pytest.mark.parametrize("name, p", KERNEL_PROGRAMS, ids=[name for name, _ in KERNEL_PROGRAMS])
+    def test_kernel_programs(self, name, p):
+        _assert_rows_match_the_oracles(p.rules, p.pairs)
+
+    def test_random_pair_sets(self):
+        rng = random.Random(21)
+        own_table = 0
+        for k in range(400):
+            rules = KERNEL_PROGRAMS[k % len(KERNEL_PROGRAMS)][1].rules
+            pairs = random_pairs(rng, [r.label for r in rules], acyclic=True)
+            own_table += _assert_rows_match_the_oracles(rules, pairs)
+        assert own_table  # some draws strike a directly overridden pair
 
 
 def _assert_attacks_match_the_definition(p, rng):

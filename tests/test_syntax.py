@@ -3,11 +3,18 @@ import random
 import re
 
 import pytest
-from helpers import CYCLE_IDS, CYCLE_MESSAGES, closure_by_composition, cycle_message
+from helpers import (
+    CYCLE_IDS,
+    CYCLE_MESSAGES,
+    closure_by_composition,
+    cycle_message,
+    even_loops,
+    random_pairs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefas import fixtures
+from prefas import fixtures, syntax, tokens
 from prefas.syntax import (
     Literal,
     ParseError,
@@ -32,7 +39,7 @@ def test_parse_indirect_conflict_fixture():
     assert p.rule("r1") == Rule("r1", lit("a"), frozenset({lit("x")}))
     assert p.rule("r2") == Rule("r2", lit("x"), neg_body=frozenset({lit("b")}))
     assert p.rule("r3") == Rule("r3", lit("b"), neg_body=frozenset({lit("a")}))
-    assert p.raw_prefs == (("r2", "r3"),)
+    assert p.pairs == (("r2", "r3"),)
     assert p.prefs == {("r2", "r3")}
 
 
@@ -161,10 +168,7 @@ _MUTATIONS = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.lists(_MUTATIONS, min_size=1, max_size=3))
-def test_reported_position_shows_the_named_text(seed, mutations):
-    text = format_program(random_lpp(GenParams(seed=seed, pref_density=0.5)))
+def _mutated(text, mutations):
     for op, where, piece in mutations:
         i = int(where * (len(text) + 1))
         if op == "insert":
@@ -173,6 +177,13 @@ def test_reported_position_shows_the_named_text(seed, mutations):
             text = text[:i] + text[i + len(piece):]
         else:
             text = text[:i] + piece + text[i + len(piece):]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_reported_position_shows_the_named_text(seed, mutations):
+    text = _mutated(format_program(random_lpp(GenParams(seed=seed, pref_density=0.5))), mutations)
     try:
         parse_program(text)
     except ParseError as err:
@@ -191,6 +202,135 @@ def test_reported_position_shows_the_named_text(seed, mutations):
                 return
     except PreferenceCycleError:
         pass
+
+
+# The statement pass reads a whole statement per match and falls back to
+# the token parser on anything it cannot read; the two must agree.
+
+_LABELS = ["r1", "r2", "r3", "r4", "r5", "r6", "not", "__l", "x_1"]
+_ATOMS = ["a", "b", "p(a, b)", "q(x,y)", "nota", "not_b", "s(a\nb)", "c1"]
+_GAPS = ["", " ", "\t", " \t "]
+_SPACES = [" ", "\t", "  "]
+# what may follow a statement: after its '.', or in place of a '.'
+_AFTER_DOT = ["", " ", "\n", "\r\n", " % note\n", "\n\n", "\t\r\n% line\n"]
+_LINE_ENDS = ["\n", "\r\n", " % note\n", "\t\n"]
+
+
+@st.composite
+def layouts(draw):
+    """A valid program text in a varied layout, with the rules and pairs it
+    holds: argument parts with commas and a newline, ``- a``, ``not-a``,
+    tabs, ``\\r\\n``, comments, blank lines, several statements on a line,
+    statements without a '.', preferences before the rules they name, and
+    reserved atoms when they are allowed."""
+    allow_reserved = draw(st.booleans())
+    atoms = _ATOMS + ["__r"] * allow_reserved
+    gap = st.sampled_from(_GAPS)
+    literal = st.builds(Literal, st.sampled_from(atoms), st.booleans())
+
+    def text_of(lit):
+        return lit.atom if lit.positive else "-" + draw(gap) + lit.atom
+
+    labels = draw(st.permutations(_LABELS))[: draw(st.integers(min_value=1, max_value=6))]
+    rules, statements, seen = [], [], set()
+    for label in labels:
+        head = draw(literal)
+        pos = draw(st.lists(literal, max_size=2))
+        neg = draw(st.lists(literal, max_size=2))
+        key = (head, frozenset(pos), frozenset(neg))
+        if key in seen:
+            continue
+        seen.add(key)
+        rules.append(Rule(label, *key))
+        # ':' followed at once by '-' would read as ':-'
+        after_colon = draw(st.sampled_from(_SPACES if not head.positive else _GAPS))
+        text = f"{label}{draw(gap)}:{after_colon}{text_of(head)}"
+        items = [text_of(l) for l in pos]
+        for l in neg:
+            written = text_of(l)
+            keyword_gap = st.sampled_from(_SPACES + [""] * written.startswith("-"))
+            items.append("not" + draw(keyword_gap) + written)
+        if items:
+            items = draw(st.permutations(items))
+            text += draw(gap) + ":-" + draw(gap) + (draw(gap) + "," + draw(gap)).join(items)
+        statements.append(text)
+    index = {r.label: i for i, r in enumerate(rules)}
+    pairs = [
+        (lo, hi)
+        for lo in index
+        for hi in index
+        if index[lo] < index[hi] and draw(st.booleans())
+    ]
+    statements += [f"{lo}{draw(gap)}<{draw(gap)}{hi}" for lo, hi in pairs]
+    order = draw(st.permutations(range(len(statements))))
+    text = draw(st.sampled_from(["", "% header\n", "\n", " \t\n"]))
+    for k, i in enumerate(order):
+        text += draw(gap) + statements[i]
+        if draw(st.booleans()):
+            text += draw(gap) + "." + draw(st.sampled_from(_AFTER_DOT))
+        elif k < len(order) - 1 or draw(st.booleans()):
+            text += draw(gap) + draw(st.sampled_from(_LINE_ENDS))
+    written_rules = tuple(rules[i] for i in order if i < len(rules))
+    written_pairs = tuple(pairs[i - len(rules)] for i in order if i >= len(rules))
+    return text, allow_reserved, written_rules, written_pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts())
+def test_statement_pass_reads_what_the_token_parser_reads(layout):
+    text, allow_reserved, rules, pairs = layout
+    fast = syntax._parse_statements(text, allow_reserved)
+    slow = tokens.parse_tokens(text, allow_reserved)
+    assert fast.rules == slow.rules == rules
+    assert fast.pairs == slow.pairs == pairs
+    assert fast.prefs == slow.prefs == closure_by_composition(pairs)
+
+
+def _outcome(parse, text):
+    try:
+        p = parse(text, False)
+    except (ParseError, PreferenceCycleError) as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    return p.rules, p.pairs, p.prefs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.lists(_MUTATIONS, min_size=1, max_size=3))
+def test_statement_pass_fails_as_the_token_parser_does(seed, mutations):
+    text = _mutated(format_program(random_lpp(GenParams(seed=seed, pref_density=0.5))), mutations)
+    assert _outcome(parse_program, text) == _outcome(tokens.parse_tokens, text)
+
+
+@pytest.mark.parametrize("text, message", ERROR_CASES)
+def test_statement_pass_leaves_every_error_to_the_token_parser(text, message):
+    with pytest.raises(syntax._NotAStatement):
+        syntax._parse_statements(text, False)
+
+
+def test_statement_pass_raises_the_cycle_error_itself():
+    for text, lo, hi in CYCLE_MESSAGES:
+        with pytest.raises(PreferenceCycleError, match=re.escape(cycle_message(lo, hi))):
+            syntax._parse_statements(text, False)
+
+
+def test_generated_texts_take_the_statement_pass(monkeypatch):
+    monkeypatch.setattr(tokens, "parse_tokens", lambda text, allow_reserved: pytest.fail(text))
+    programs = [
+        random_lpp(GenParams(seed=seed, n_rules=n, n_atoms=n // 2 + 1, pref_density=density))
+        for seed in range(20)
+        for n in (1, 6, 14)
+        for density in (0.0, 0.3, 0.9)
+    ]
+    programs += [even_loops(k, seed, chain=seed % 2 == 1) for k in (1, 3, 5) for seed in range(4)]
+    for p in programs:
+        again = parse_program(format_program(p))
+        assert again == p and again.rules == p.rules
+    # even loops as the g_even_loops benchmark writes them: labelled by
+    # their heads, one preference per loop, no closure
+    loops = ["p3: p3 :- not q7.", "q7: q7 :- not p3.", "s0: s0 :- not t1.", "t1: t1 :- not s0."]
+    p = parse_program("\n".join(loops + ["q7 < p3.", "s0 < t1."]) + "\n")
+    assert p.labels() == ("p3", "q7", "s0", "t1")
+    assert p.pairs == (("q7", "p3"), ("s0", "t1"))
 
 
 def test_parse_classical_negation_and_arguments():
@@ -296,29 +436,13 @@ def test_cycle_error_names_the_first_label_on_a_cycle(text, lo, hi):
     assert str(raised.value) == cycle_message(lo, hi)
 
 
-def _random_pairs(rng, labels, acyclic):
-    """Random (lo, hi) pairs over ``labels``; with ``acyclic`` each pair
-    rises in one shuffled order, so no cycle can form."""
-    order = rng.sample(labels, len(labels))
-    pairs = []
-    for _ in range(rng.randint(0, 2 * len(labels))):
-        lo, hi = rng.choice(labels), rng.choice(labels)
-        if acyclic:
-            if lo == hi:
-                continue
-            if order.index(lo) > order.index(hi):
-                lo, hi = hi, lo
-        pairs.append((lo, hi))
-    return pairs
-
-
 @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "any"])
 def test_close_preferences_matches_composition(acyclic):
     rng = random.Random(16)
     raised = closed = 0
     for _ in range(400):
         labels = [f"r{i}" for i in range(rng.randint(1, 8))]
-        pairs = _random_pairs(rng, labels, acyclic)
+        pairs = random_pairs(rng, labels, acyclic)
         expected = closure_by_composition(pairs)
         cyclic = [lo for lo, hi in pairs if (lo, lo) in expected]
         if not cyclic:
@@ -393,7 +517,7 @@ def programs(draw):
         for j in range(i + 1, len(labels)):
             if draw(st.booleans()):
                 pairs.append((labels[i], labels[j]))
-    return PrefProgram(tuple(rules), close_preferences(pairs, labels), tuple(pairs))
+    return PrefProgram(tuple(rules), tuple(pairs))
 
 
 @settings(max_examples=150, deadline=None)

@@ -121,7 +121,7 @@ class TestRandomLpp:
     def test_deterministic_in_seed(self):
         a = random_lpp(GenParams(seed=11))
         b = random_lpp(GenParams(seed=11))
-        assert a == b and a.rules == b.rules and a.raw_prefs == b.raw_prefs
+        assert a == b and a.rules == b.rules and a.pairs == b.pairs
 
     def test_zero_density_means_no_preferences(self):
         p = random_lpp(GenParams(seed=3, pref_density=0.0))
@@ -205,6 +205,41 @@ class TestFuzz:
 
     def test_ten_rule_programs_are_clean(self):
         assert fuzz(GenParams(seed=500, n_rules=10, n_atoms=7), 10).ok
+
+    def test_default_stream_is_pinned(self):
+        # the report of ``prefas check --random`` on its default stream:
+        # how random_lpp stores the pairs it draws must not move it
+        report = fuzz(GenParams(seed=0), 100)
+        assert report.to_dict() == FUZZ_SEED_0
+        assert str(report) == FUZZ_SEED_0_TEXT
+
+
+FUZZ_SEED_0 = {
+    "count": 100,
+    "seed": 0,
+    "properties": [
+        "principle1", "hierarchy", "strat_eq", "empty_pref", "monotonicity", "transform_eq",
+        "pas_subset_as",
+    ],
+    "checked": {
+        "principle1": 100, "hierarchy": 100, "strat_eq": 100, "empty_pref": 100,
+        "monotonicity": 100, "transform_eq": 100, "pas_subset_as": 100,
+    },
+    "violations": [],
+    "strictness_witnesses": {"g_over_gno": 5, "d_over_g": 0},
+}
+FUZZ_SEED_0_TEXT = """\
+fuzz: 100 programs from seed 0, properties: principle1, hierarchy, strat_eq, empty_pref, \
+monotonicity, transform_eq, pas_subset_as
+  principle1: 100 checks
+  hierarchy: 100 checks
+  strat_eq: 100 checks
+  empty_pref: 100 checks
+  monotonicity: 100 checks
+  transform_eq: 100 checks
+  pas_subset_as: 100 checks
+  strictness witnesses: g over gno 5, d over g 0
+  no violations"""
 
 
 class TestFamilies:
