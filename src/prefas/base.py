@@ -112,8 +112,10 @@ def rules_of(p: ProgramLike) -> tuple[Rule, ...]:
 
 
 def is_consistent(literals: Iterable[Literal]) -> bool:
+    """No two of the literals are complementary: distinct literals clash
+    exactly when they share an atom."""
     lits = set(literals)
-    return not any(l.complement in lits for l in lits)
+    return len({l.atom for l in lits}) == len(lits)
 
 
 def defeats(attacker: RuleOrRules, target: RuleOrRules) -> bool:

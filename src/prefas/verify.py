@@ -188,16 +188,16 @@ def check_monotonicity(
     """Growing the preference relation may only shrink the preferred sets.
 
     ``prefs1`` and ``prefs2`` are acyclic pair sets, written or closed, and
-    ``prefs1`` must be a subset of ``prefs2``; a violation names the closure
-    of ``prefs1``.  A program given with ``prefs2`` as its closed relation
-    is checked as it is."""
+    the closure of ``prefs1`` must be a subset of the closure of ``prefs2``;
+    a violation names the closure of ``prefs1``.  A program given with
+    ``prefs2`` as its closed relation is checked as it is."""
     given = rules if isinstance(rules, PrefProgram) else PrefProgram(tuple(rules))
     rules = given.rules
-    prefs1, prefs2 = frozenset(prefs1), frozenset(prefs2)
-    if not prefs1 <= prefs2:
-        raise ValueError("prefs1 must be a subset of prefs2")
-    p1 = PrefProgram(rules, prefs1)
+    prefs2 = frozenset(prefs2)
+    p1 = PrefProgram(rules, frozenset(prefs1))
     p2 = given if given.prefs == prefs2 else PrefProgram(rules, prefs2)
+    if not p1.prefs <= p2.prefs:
+        raise ValueError("the closure of prefs1 must be a subset of the closure of prefs2")
     for semantics in ("g", "gno"):
         strong = preferred_families(p2, semantics, bounds, families)
         weak = preferred_families(p1, semantics, bounds, families)

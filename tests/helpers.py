@@ -62,6 +62,49 @@ def transformed_answer_sets_by_literals(t):
     return out
 
 
+def rewrite_by_forms(p):
+    """Oracle for ``transform.transform``: the four forms of the
+    ``transform`` module description, written out rule by rule.
+
+    For each source rule r in order: form 1, form 2, one form-3 rule for
+    each q with (q, r) not in ``p.prefs``, in source order, then one form-4
+    rule per literal of body-(r) in sorted order.  Output rules are
+    labelled t1, t2, ... in that order.  Bodies are visited in sorted
+    literal order, and a shadow is named when a rule first uses it, a
+    form-3 rule using the shadow of its head before those of its body.
+    Returns (rules, forms, name_atoms, shadow_atoms) as a tuple and three
+    dicts in insertion order.
+    """
+    inc = Literal("__inc")
+    name_atoms = {r.label: "__n_" + r.label for r in p.rules}
+    shadow_atoms = {}
+    rules, forms = [], {}
+
+    def shadow(x, r):
+        if (x, r.label) not in shadow_atoms:
+            sign = "" if x.positive else "neg_"
+            shadow_atoms[(x, r.label)] = "__s_" + r.label + "_" + sign + x.atom
+        return Literal(shadow_atoms[(x, r.label)])
+
+    def add(form, head, pos, neg=()):
+        label = "t" + str(len(rules) + 1)
+        rules.append(Rule(label, head, frozenset(pos), frozenset(neg)))
+        forms[label] = form
+
+    for r in p.rules:
+        name = Literal(name_atoms[r.label])
+        add(1, r.head, [name])
+        add(2, name, r.pos_body, [shadow(x, r) for x in sorted(r.neg_body)])
+        for q in p.rules:
+            if (q.label, r.label) not in p.prefs:
+                head = shadow(q.head, r)
+                body = [shadow(x, r) for x in sorted(q.pos_body)]
+                add(3, head, body + [Literal(name_atoms[q.label])])
+        for x in sorted(r.neg_body):
+            add(4, inc, [name, x], [inc])
+    return tuple(rules), forms, name_atoms, shadow_atoms
+
+
 def closure_by_composition(pairs):
     """Oracle for ``close_preferences``: compose the pairs with themselves
     until nothing new appears, cycles and all."""

@@ -14,6 +14,7 @@ from helpers import (
     subsets_in_mask_order,
 )
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefas import fixtures, kernels
 from prefas.base import (
@@ -35,7 +36,7 @@ from prefas.base import (
 )
 from prefas.direct import directly_overrides, preferred_generating_sets_d, reduct_d
 from prefas.kernels import python as kernel_python
-from prefas.syntax import BoundExceededError, PrefasError, PrefProgram, Rule, parse_program
+from prefas.syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule, parse_program
 from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
@@ -257,6 +258,22 @@ class TestAnswerSets:
         for a in answer_sets(p):
             assert is_consistent(a.literals)
             assert a.literals == frozenset(p.rule(l).head for l in a.generating)
+
+
+class TestConsistency:
+    def test_examples(self):
+        assert is_consistent([])
+        assert is_consistent(lits("a", "-b", "p(x)"))
+        assert is_consistent([lit("a"), lit("a")])
+        assert not is_consistent(lits("a", "b", "-a"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(Literal, st.sampled_from(["a", "b", "c", "p(x)"]), st.booleans())))
+    def test_matches_the_complement_definition(self, literals):
+        # one complement tuple per literal, as the test was written before
+        # it compared the atom count with the literal count
+        distinct = set(literals)
+        assert is_consistent(literals) == (not any(l.complement in distinct for l in distinct))
 
 
 class TestClassicOracle:

@@ -251,6 +251,19 @@ def test_solve_prints_the_pinned_output(fixture, semantics, tmp_path, capsys):
     assert capsys.readouterr().out == Path(f"{golden}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fixture", ["indirect_conflict", "car_recommender"])
+def test_transform_prints_the_pinned_output(fixture, tmp_path, capsys):
+    # golden/<fixture>.transform.txt holds the rewritten program byte for byte
+    path = tmp_path / f"{fixture}.lpp"
+    path.write_text(fixtures.SOURCES[fixture], encoding="utf-8")
+    expected = (GOLDEN / f"{fixture}.transform.txt").read_text(encoding="utf-8")
+    assert main(["transform", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "out.lpp"
+    assert main(["transform", str(path), "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def test_check_json_names_no_seed_for_a_given_program(monkeypatch, capsys, program_file):
     monkeypatch.setattr(verify, "preferred_answer_sets_g", lambda p, bounds=None: [])
     assert main(["check", program_file, "--property", "hierarchy", "--json"]) == 1

@@ -1,8 +1,10 @@
 import pytest
 from helpers import (
+    KERNEL_PROGRAMS,
     even_loops,
     lits,
     literal_families,
+    rewrite_by_forms,
     small_programs,
     transformed_answer_sets_by_literals,
 )
@@ -91,6 +93,56 @@ class TestStructure:
         assert all(a.startswith("__") for a in generated)
 
 
+def _rewriting_draws():
+    """200 random_lpp draws of 3 to 12 rules at preference densities 0 to
+    0.9, every fifth one stratified."""
+    return [
+        random_lpp(GenParams(
+            seed=seed,
+            n_rules=3 + seed % 10,
+            pref_density=(0.0, 0.3, 0.6, 0.9)[seed % 4],
+            stratified=seed % 5 == 0,
+        ))
+        for seed in range(200)
+    ]
+
+
+def _assert_rewritten_by_forms(p):
+    t = transform(p)
+    rules, forms, name_atoms, shadow_atoms = rewrite_by_forms(p)
+    assert t.program == rules  # labels, heads and bodies, in order
+    assert list(t.forms.items()) == list(forms.items())
+    assert list(t.name_atoms.items()) == list(name_atoms.items())
+    assert list(t.shadow_atoms.items()) == list(shadow_atoms.items())
+    assert t.inc_atom == "__inc"
+
+
+class TestRewritingMatchesForms:
+    """``transform`` against ``helpers.rewrite_by_forms``, which writes the
+    four forms out rule by rule and shares no code with it."""
+
+    @pytest.mark.parametrize(
+        "p", [p for _, p in KERNEL_PROGRAMS], ids=[name for name, _ in KERNEL_PROGRAMS]
+    )
+    def test_kernel_program(self, p):
+        _assert_rewritten_by_forms(p)
+
+    @pytest.mark.parametrize("name", sorted(fixtures.SOURCES))
+    def test_fixture(self, name):
+        _assert_rewritten_by_forms(fixtures.load(name))
+
+    def test_random_programs(self):
+        draws = _rewriting_draws()
+        assert any(p.prefs for p in draws) and any(not p.prefs for p in draws)
+        for p in draws:
+            _assert_rewritten_by_forms(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_programs())
+    def test_small_programs(self, p):
+        _assert_rewritten_by_forms(p)
+
+
 class TestSolving:
     def test_indirect_conflict_answer_set(self):
         t = transform(RUN)
@@ -161,11 +213,11 @@ class TestBitmaskRouteMatchesOracle:
         assert _mismatched_programs([fixtures.load(name)]) == []
 
     def test_uses_no_fast_path(self, monkeypatch):
-        # the route is the oracle for gno: it must not reach the enumeration
-        # kernels, the shared index, any preference semantics or the
-        # generating-set enumeration
-        transformed = [transform(fixtures.load(name)) for name in sorted(fixtures.SOURCES)]
-        expected = [transformed_answer_sets_by_literals(t) for t in transformed]
+        # the route is the oracle for gno: neither the rewriting nor its
+        # solver may reach the enumeration kernels, the shared index, any
+        # preference semantics or the generating-set enumeration
+        programs = [fixtures.load(name) for name in sorted(fixtures.SOURCES)]
+        expected = [transformed_answer_sets_by_literals(transform(p)) for p in programs]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the transform route called a fast path")
@@ -178,12 +230,12 @@ class TestBitmaskRouteMatchesOracle:
             monkeypatch.setattr(base, name, refuse)
         monkeypatch.setattr(direct, "preferred_answer_sets_d", refuse)
         monkeypatch.setattr(fragments, "preferred_answer_sets_g", refuse)
-        assert [transformed_answer_sets(t) for t in transformed] == expected
+        assert [transformed_answer_sets(transform(p)) for p in programs] == expected
 
 
 class TestScale:
-    """Programs of 20 rules, the default ``max_rules``: 2^20 guesses over
-    the name atoms would take seconds each."""
+    """Programs of 20 rules, the default ``max_rules``, and one of 40: 2^20
+    guesses over the name atoms would take seconds each."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ten_even_loops(self, seed):
@@ -193,6 +245,13 @@ class TestScale:
     def test_twenty_rule_random_programs(self, seed):
         p = random_lpp(GenParams(seed=seed, n_rules=20, n_atoms=12, pref_density=0.6))
         assert check_correspondence(p).ok
+
+    def test_forty_rule_random_program(self):
+        # twice the default rule bound; the search over the name atoms and
+        # the gno search each take milliseconds here
+        p = random_lpp(GenParams(seed=0, n_rules=40))
+        assert len(p.rules) == 40
+        assert check_correspondence(p, Bounds(max_rules=40)).ok
 
 
 class TestProjectEmbed:
