@@ -12,6 +12,10 @@ The central notions, over a program P (a set of rules):
   answer set      a consistent literal set equal to head(R) for some
                   generating set R
 
+A program is a ``PrefProgram``; ``minpos``, ``gl_least_model``,
+``gl_is_answer_set`` and ``defeats`` are defined on bare rule sets and
+take rules, and the first two share one least-model loop.
+
 ``gl_answer_sets`` recomputes answer sets from the classic two-step
 reduction (delete rules whose negative body meets the candidate, drop the
 remaining negative bodies, take the least model) and is kept deliberately
@@ -44,13 +48,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule
-
-ProgramLike = Union[PrefProgram, Sequence[Rule]]
-RuleOrRules = Union[Rule, Iterable[Rule]]
 
 
 # The variable that ``Bounds.from_env`` reads for each field.  The command
@@ -105,12 +106,6 @@ class AnswerSet:
         return "{" + ", ".join(sorted(map(str, self.literals))) + "}"
 
 
-def rules_of(p: ProgramLike) -> tuple[Rule, ...]:
-    if isinstance(p, PrefProgram):
-        return p.rules
-    return tuple(p)
-
-
 def is_consistent(literals: Iterable[Literal]) -> bool:
     """No two of the literals are complementary: distinct literals clash
     exactly when they share an atom."""
@@ -118,57 +113,64 @@ def is_consistent(literals: Iterable[Literal]) -> bool:
     return len({l.atom for l in lits}) == len(lits)
 
 
-def defeats(attacker: RuleOrRules, target: RuleOrRules) -> bool:
-    """Does ``attacker`` defeat ``target``?
+def defeats(attackers: Iterable[Rule], targets: Iterable[Rule]) -> bool:
+    """Does the rule set ``attackers`` defeat the rule set ``targets``?
 
     A rule defeats another when its head occurs in the other's negative
     body; a rule set defeats whatever any of its heads defeats.
     """
-    heads = {attacker.head} if isinstance(attacker, Rule) else {r.head for r in attacker}
-    targets = (target,) if isinstance(target, Rule) else tuple(target)
+    heads = {r.head for r in attackers}
     return any(heads & r.neg_body for r in targets)
 
 
-def gr(s: Iterable[Literal], p: ProgramLike) -> frozenset[str]:
+def gr(s: Iterable[Literal], p: PrefProgram) -> frozenset[str]:
     """The rules applicable under literal set ``s``: positive body inside s,
     negative body disjoint from s."""
     lits = set(s)
-    return frozenset(
-        r.label
-        for r in rules_of(p)
-        if r.pos_body <= lits and not r.neg_body & lits
-    )
+    return frozenset(r.label for r in p.rules if r.pos_body <= lits and not r.neg_body & lits)
 
 
-def minpos(rules: Iterable[Rule]) -> frozenset[str]:
-    """Labels of the least rule set positively satisfying ``rules``.
+def _fired(rules: Iterable[Rule]) -> Iterator[Rule]:
+    """The rules of the least rule set positively satisfying ``rules``, in
+    the order they fire.
 
-    Rules fire iteratively: a rule joins once its positive body is among the
-    heads of rules already in.  Negative bodies play no part.
+    A rule fires once its positive body is among the heads of rules already
+    fired, and then leaves the pending list; negative bodies play no part.
+    A pass that fires nothing ends the loop.
     """
     pending = list(rules)
     derived: set[Literal] = set()
-    fired: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
+    while pending:
+        waiting = []
         for r in pending:
-            if r.label not in fired and r.pos_body <= derived:
-                fired.add(r.label)
+            if r.pos_body <= derived:
                 derived.add(r.head)
-                changed = True
-    return frozenset(fired)
+                yield r
+            else:
+                waiting.append(r)
+        if len(waiting) == len(pending):
+            return
+        pending = waiting
 
 
-def reduct(p: ProgramLike, r_labels: Iterable[str]) -> tuple[Rule, ...]:
+def minpos(rules: Iterable[Rule]) -> frozenset[str]:
+    """Labels of the least rule set positively satisfying ``rules``."""
+    return frozenset(r.label for r in _fired(rules))
+
+
+def gl_least_model(rules: Iterable[Rule]) -> frozenset[Literal]:
+    """Least model of a program read positively (negative bodies dropped):
+    the heads of the rules that ``minpos`` fires."""
+    return frozenset(r.head for r in _fired(rules))
+
+
+def reduct(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:
     """The program minus every rule defeated by the rule set ``r_labels``."""
-    rules = rules_of(p)
-    members = set(r_labels)
-    heads = {r.head for r in rules if r.label in members}
-    return tuple(r for r in rules if not r.neg_body & heads)
+    heads = {p.by_label[l].head for l in r_labels}
+    return tuple(r for r in p.rules if not r.neg_body & heads)
 
 
-def is_generating(p: ProgramLike, r_labels: Iterable[str]) -> bool:
+def is_generating(p: PrefProgram, r_labels: Iterable[str]) -> bool:
     members = frozenset(r_labels)
     return minpos(reduct(p, members)) == members
 
@@ -273,9 +275,9 @@ def _check_rule_bound(n: int, bounds: Bounds | None, field: str = "max_rules") -
         )
 
 
-def _compiled(p: ProgramLike, bounds: Bounds | None, field: str = "max_rules") -> _Index:
+def _compiled(p: PrefProgram, bounds: Bounds | None, field: str = "max_rules") -> _Index:
     """The index of ``p``'s rules, once they pass the rule bound ``field``."""
-    idx = _index(rules_of(p))
+    idx = _index(p.rules)
     _check_rule_bound(idx.n, bounds, field)
     return idx
 
@@ -293,7 +295,7 @@ def _beaten(idx: _Index, less: Sequence[int], r: int, rules: int, attacked: int)
             yield low
 
 
-def generating_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
+def generating_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[frozenset[str]]:
     """All generating sets, in bitmask order over source rule order."""
     idx = _compiled(p, bounds)
     return [idx.labels_of(m) for m in idx.generating]
@@ -321,38 +323,23 @@ def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet
     return out
 
 
-def answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[AnswerSet]:
+def answer_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:
     """Answer sets of the plain program: heads of generating sets that are
     consistent, deduplicated by literal set."""
     idx = _compiled(p, bounds)
     return _answer_sets_from_masks(idx, idx.generating)
 
 
-def gl_least_model(rules: Iterable[Rule]) -> frozenset[Literal]:
-    """Least model of a program read positively (negative bodies dropped)."""
-    pending = list(rules)
-    derived: set[Literal] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in pending:
-            if r.head not in derived and r.pos_body <= derived:
-                derived.add(r.head)
-                changed = True
-    return frozenset(derived)
-
-
-def gl_is_answer_set(p: ProgramLike, s: Iterable[Literal]) -> bool:
+def gl_is_answer_set(rules: Iterable[Rule], s: Iterable[Literal]) -> bool:
     """Classic answer set test: delete rules whose negative body meets ``s``,
     then ``s`` must equal the least model of what remains."""
     lits = frozenset(s)
     if not is_consistent(lits):
         return False
-    kept = [r for r in rules_of(p) if not r.neg_body & lits]
-    return gl_least_model(kept) == lits
+    return gl_least_model(r for r in rules if not r.neg_body & lits) == lits
 
 
-def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[Literal]]:
+def gl_answer_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[frozenset[Literal]]:
     """Answer sets by direct candidate enumeration over head literals.
 
     Any answer set is the least model of its reduct and therefore only
@@ -361,8 +348,7 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
     up to two per atom, so ``Bounds.max_atoms`` caps k.
     """
     bounds = bounds or DEFAULT_BOUNDS
-    rules = rules_of(p)
-    basis = list(dict.fromkeys(r.head for r in rules))
+    basis = list(dict.fromkeys(r.head for r in p.rules))
     if len(basis) > bounds.max_atoms:
         raise BoundExceededError(
             f"program has {len(basis)} distinct head literals; candidate enumeration is "
@@ -372,22 +358,21 @@ def gl_answer_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[frozens
     out = []
     for mask in range(1 << len(basis)):
         cand = frozenset(basis[i] for i in range(len(basis)) if mask >> i & 1)
-        if gl_is_answer_set(rules, cand):
+        if gl_is_answer_set(p.rules, cand):
             out.append(cand)
     return out
 
 
-def is_stratified(p: ProgramLike) -> bool:
+def is_stratified(p: PrefProgram) -> bool:
     """No dependency cycle through default negation.
 
     The dependency graph has an edge from a rule's head to each of its body
     literals, the negative-body edges marked; ``a`` and ``-a`` are distinct
     nodes.  The program is stratified when no marked edge lies on a cycle.
     """
-    rules = rules_of(p)
     edges: dict[Literal, set[Literal]] = {}
     neg_edges: list[tuple[Literal, Literal]] = []
-    for r in rules:
+    for r in p.rules:
         targets = edges.setdefault(r.head, set())
         targets.update(r.pos_body)
         targets.update(r.neg_body)

@@ -65,45 +65,39 @@ from typing import Iterable, Sequence
 from .base import (
     AnswerSet,
     Bounds,
-    ProgramLike,
     _answer_sets_from_masks,
     _beaten,
     _compiled,
     _Index,
+    defeats,
     generating_sets,
     minpos,
-    rules_of,
 )
 from .syntax import PrefProgram
 
 FragmentFamily = frozenset[frozenset[str]]
 
 
-def _lattice_index(p: ProgramLike, bounds: Bounds | None) -> _Index:
+def _lattice_index(p: PrefProgram, bounds: Bounds | None) -> _Index:
     """The index of ``p``'s rules, once they pass ``max_fragment_rules``."""
     return _compiled(p, bounds, "max_fragment_rules")
 
 
-def fragments(p: ProgramLike, bounds: Bounds | None = None) -> list[frozenset[str]]:
+def fragments(p: PrefProgram, bounds: Bounds | None = None) -> list[frozenset[str]]:
     """All fragments of the program, ascending by bitmask over rule order."""
     idx = _lattice_index(p, bounds)
     return [idx.labels_of(m) for m in idx.fragments]
 
 
-def is_fragment(p: ProgramLike, labels: Iterable[str]) -> bool:
+def is_fragment(p: PrefProgram, labels: Iterable[str]) -> bool:
     members = frozenset(labels)
-    by_label = {r.label: r for r in rules_of(p)}
-    return minpos(by_label[l] for l in members) == members
+    return minpos(p.rules_of(members)) == members
 
 
-def conflicting(p: ProgramLike, x: Iterable[str], y: Iterable[str]) -> bool:
+def conflicting(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
     """Mutual defeat between two fragments (as label sets)."""
-    by_label = {r.label: r for r in rules_of(p)}
-    xr = [by_label[l] for l in set(x)]
-    yr = [by_label[l] for l in set(y)]
-    x_heads = {r.head for r in xr}
-    y_heads = {r.head for r in yr}
-    return any(y_heads & r.neg_body for r in xr) and any(x_heads & r.neg_body for r in yr)
+    xr, yr = p.rules_of(x), p.rules_of(y)
+    return defeats(xr, yr) and defeats(yr, xr)
 
 
 def overrides(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
@@ -217,7 +211,7 @@ def _witness(idx: _Index, r: int) -> FragmentFamily:
     return frozenset(idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r))
 
 
-def stable_fragment_sets(p: ProgramLike, bounds: Bounds | None = None) -> list[FragmentFamily]:
+def stable_fragment_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[FragmentFamily]:
     """One stable fragment set per generating set: all fragments inside it.
 
     A generating set R defeats none of its own fragments and every fragment

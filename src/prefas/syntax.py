@@ -273,20 +273,6 @@ def _closed_pairs(labels: Sequence[str], rows: Sequence[int]) -> frozenset[tuple
     return frozenset(out)
 
 
-def close_preferences(
-    raw_pairs: Iterable[tuple[str, str]], labels: Iterable[str]
-) -> frozenset[tuple[str, str]]:
-    """Transitively close a set of ``(lo, hi)`` preference pairs.
-
-    Raises :class:`PreferenceCycleError` if the closure contains both
-    ``(x, y)`` and ``(y, x)`` for any ``x, y`` (including ``x = y``), and
-    :class:`KeyError` if a pair names an unknown label.
-    """
-    names = tuple(dict.fromkeys(labels))
-    rows = _closed_rows({name: i for i, name in enumerate(names)}, tuple(raw_pairs))
-    return _closed_pairs(names, rows)
-
-
 # The statement pass.  Between tokens the token parser skips blanks, and a
 # comment only before a newline or the end; ``not`` is the keyword only as
 # a whole identifier, and ``:`` before ``-`` is the token ``:-``.

@@ -24,8 +24,11 @@ Fresh atoms use the parser-reserved "__" namespace:
   shadow of -a  at r    __s_<label>_neg_<atom>
   inc                   __inc
 
-so the output prints in the ordinary grammar and re-parses with
-``allow_reserved=True``.
+Two shadows can get the same plain name: ``neg_a`` and ``-a`` at one rule,
+or atom ``_x`` at rule ``r`` and atom ``x`` at rule ``r_``.  The later one
+then gets the first suffix ``_1``, ``_2``, ... that makes its name free, so
+every valid program has a rewriting.  The output prints in the ordinary
+grammar and re-parses with ``allow_reserved=True``.
 """
 
 from __future__ import annotations
@@ -86,11 +89,18 @@ def transform(p: PrefProgram) -> TransformedProgram:
     uses = [(r.head, *pos) for r, pos in zip(p.rules, poss)]  # form 3's shadows, in order
     suffix = {x: x.atom if x.positive else "neg_" + x.atom for xs in chain(uses, negs) for x in xs}
     shadow_atoms: dict[tuple[Literal, str], str] = {}
+    taken: set[str] = set()  # shadow names; n_r and inc have prefixes of their own
     heads, bodies, negatives, form_of = [], [], [], []  # the output rules' columns
     for r, n_r, neg, row, body in zip(p.rules, names, negs, p.less, alone):
         kept = [j for j in range(n) if not row >> j & 1] if row else range(n)  # q not < r
         prefix = f"{RESERVED_PREFIX}s_{r.label}_"
-        atoms = {x: prefix + suffix[x] for x in dict.fromkeys(chain(neg, *[uses[j] for j in kept]))}
+        atoms = {}
+        for x in dict.fromkeys(chain(neg, *[uses[j] for j in kept])):
+            atom = prefix + suffix[x]
+            if atom in taken:
+                atom = next(f"{atom}_{k}" for k in count(1) if f"{atom}_{k}" not in taken)
+            taken.add(atom)
+            atoms[x] = atom
         shadow_atoms.update(zip(zip(atoms, repeat(r.label)), atoms.values()))
         shadow = {x: new(Literal, (a, True)) for x, a in atoms.items()}
         get = shadow.__getitem__
@@ -101,10 +111,6 @@ def transform(p: PrefProgram) -> TransformedProgram:
         negatives += (empty, frozenset(map(get, neg)), *repeat(empty, len(kept)))
         negatives += repeat(not_inc, len(neg))
         form_of += (1, 2, *repeat(3, len(kept)), *repeat(4, len(neg)))
-
-    generated = [*name_atoms.values(), *shadow_atoms.values(), inc_atom]
-    if len(set(generated)) != len(generated) or not p.atoms.isdisjoint(generated):
-        raise PrefasError("generated atom names collide; relabel the source rules")
 
     labels = [f"t{k}" for k in range(1, len(heads) + 1)]
     return TransformedProgram(

@@ -179,35 +179,29 @@ def check_strat_equivalence(
 
 
 def check_monotonicity(
-    rules: Sequence[Rule] | PrefProgram,
-    prefs1: Iterable[tuple[str, str]],
-    prefs2: Iterable[tuple[str, str]],
+    p: PrefProgram,
+    weaker: Iterable[tuple[str, str]],
     bounds: Bounds | None = None,
     families: Families | None = None,
 ) -> list[Violation]:
     """Growing the preference relation may only shrink the preferred sets.
 
-    ``prefs1`` and ``prefs2`` are acyclic pair sets, written or closed, and
-    the closure of ``prefs1`` must be a subset of the closure of ``prefs2``;
-    a violation names the closure of ``prefs1``.  A program given with
-    ``prefs2`` as its closed relation is checked as it is."""
-    given = rules if isinstance(rules, PrefProgram) else PrefProgram(tuple(rules))
-    rules = given.rules
-    prefs2 = frozenset(prefs2)
-    p1 = PrefProgram(rules, frozenset(prefs1))
-    p2 = given if given.prefs == prefs2 else PrefProgram(rules, prefs2)
-    if not p1.prefs <= p2.prefs:
-        raise ValueError("the closure of prefs1 must be a subset of the closure of prefs2")
+    ``p`` is checked against the program with the same rules and the
+    ``weaker`` pairs, an acyclic pair set, written or closed, whose closure
+    must be a subset of ``p.prefs``; a violation names that closure."""
+    weak_program = PrefProgram(p.rules, tuple(weaker))
+    if not weak_program.prefs <= p.prefs:
+        raise ValueError("the closure of the weaker pairs must be a subset of the program's")
     for semantics in ("g", "gno"):
-        strong = preferred_families(p2, semantics, bounds, families)
-        weak = preferred_families(p1, semantics, bounds, families)
+        strong = preferred_families(p, semantics, bounds, families)
+        weak = preferred_families(weak_program, semantics, bounds, families)
         if not strong <= weak:
             return [Violation(
                 "monotonicity",
-                p2,
+                p,
                 {
                     "semantics": semantics,
-                    "prefs1": sorted(p1.prefs),
+                    "weaker": sorted(weak_program.prefs),
                     "escaped": _sorted_family(strong - weak),
                 },
             )]
@@ -294,7 +288,7 @@ def _monotonicity(
     if draw is not None:
         rng = random.Random(f"{draw.seed}/aux")
         weaker = [pair for pair in sorted(p.prefs) if rng.random() < 0.5]
-    return check_monotonicity(p, weaker, p.prefs, bounds, families)
+    return check_monotonicity(p, weaker, bounds, families)
 
 
 _CHECKS = {

@@ -71,7 +71,8 @@ def rewrite_by_forms(p):
     rule per literal of body-(r) in sorted order.  Output rules are
     labelled t1, t2, ... in that order.  Bodies are visited in sorted
     literal order, and a shadow is named when a rule first uses it, a
-    form-3 rule using the shadow of its head before those of its body.
+    form-3 rule using the shadow of its head before those of its body; a
+    name that an earlier shadow holds gets the first free suffix _1, _2, ...
     Returns (rules, forms, name_atoms, shadow_atoms) as a tuple and three
     dicts in insertion order.
     """
@@ -83,7 +84,12 @@ def rewrite_by_forms(p):
     def shadow(x, r):
         if (x, r.label) not in shadow_atoms:
             sign = "" if x.positive else "neg_"
-            shadow_atoms[(x, r.label)] = "__s_" + r.label + "_" + sign + x.atom
+            name = plain = "__s_" + r.label + "_" + sign + x.atom
+            k = 0
+            while name in shadow_atoms.values():
+                k += 1
+                name = plain + "_" + str(k)
+            shadow_atoms[(x, r.label)] = name
         return Literal(shadow_atoms[(x, r.label)])
 
     def add(form, head, pos, neg=()):
@@ -105,8 +111,16 @@ def rewrite_by_forms(p):
     return tuple(rules), forms, name_atoms, shadow_atoms
 
 
+# Valid programs whose plain shadow names in ``transform`` meet: neg_a and
+# -a at one rule, and _x at rule r and x at rule r_, which both read __s_r__x.
+COLLIDING = {
+    "one_rule": "r1: neg_a :- not b.\nr2: -a :- not b.\nr3: b :- not neg_a, not -a.\n",
+    "two_rules": "r: _x :- not x.\nr_: x :- not _x.\n",
+}
+
+
 def closure_by_composition(pairs):
-    """Oracle for ``close_preferences``: compose the pairs with themselves
+    """Oracle for ``PrefProgram.prefs``: compose the pairs with themselves
     until nothing new appears, cycles and all."""
     closed = set(pairs)
     while True:

@@ -46,11 +46,11 @@ SELF_BLOCK = fixtures.load("self_blocking_choice")
 
 class TestDefeats:
     def test_rule_defeats_rule(self):
-        assert defeats(RUN.rule("r1"), RUN.rule("r3"))
-        assert not defeats(RUN.rule("r2"), RUN.rule("r3"))
+        assert defeats([RUN.rule("r1")], [RUN.rule("r3")])
+        assert not defeats([RUN.rule("r2")], [RUN.rule("r3")])
 
     def test_empty_set_defeats_nothing(self):
-        assert not defeats([], RUN.rule("r3"))
+        assert not defeats([], [RUN.rule("r3")])
 
     def test_set_versus_set(self):
         assert defeats(RUN.rules_of({"r1", "r2"}), RUN.rules_of({"r3"}))
@@ -349,4 +349,4 @@ def test_generating_sets_with_consistent_heads_equal_gr(p):
 def test_gl_membership_matches_enumeration(p):
     fams = literal_families(answer_sets(p))
     for s in fams:
-        assert gl_is_answer_set(p, s)
+        assert gl_is_answer_set(p.rules, s)

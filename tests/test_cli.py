@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import CYCLE_IDS, CYCLE_MESSAGES, cycle_message
+from helpers import COLLIDING, CYCLE_IDS, CYCLE_MESSAGES, cycle_message
 
 import prefas
 from prefas import fixtures, verify
@@ -262,6 +262,15 @@ def test_transform_prints_the_pinned_output(fixture, tmp_path, capsys):
     out = tmp_path / "out.lpp"
     assert main(["transform", str(path), "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("text", COLLIDING.values(), ids=COLLIDING)
+def test_transform_and_check_accept_meeting_shadow_names(text, tmp_path, capsys):
+    path = tmp_path / "colliding.lpp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["transform", str(path)]) == 0
+    assert main(["check", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_check_json_names_no_seed_for_a_given_program(monkeypatch, capsys, program_file):

@@ -39,7 +39,7 @@ from prefas.fragments import (
     reduct_g,
     stable_fragment_sets,
 )
-from prefas.syntax import BoundExceededError, PrefProgram, close_preferences, parse_program
+from prefas.syntax import BoundExceededError, PrefProgram
 from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
@@ -268,8 +268,7 @@ class TestPreferredAnswerSetsG:
     @given(small_programs())
     def test_monotone_in_preferences(self, p):
         pairs = sorted(p.prefs)
-        sub = close_preferences(pairs[: len(pairs) // 2], [r.label for r in p.rules])
-        weaker = PrefProgram(p.rules, sub)
+        weaker = PrefProgram(p.rules, pairs[: len(pairs) // 2])
         assert g_families(preferred_answer_sets_g(p)) <= g_families(
             preferred_answer_sets_g(weaker)
         )

@@ -17,7 +17,7 @@ from prefas.gno import (
     reduct_gno,
     trules,
 )
-from prefas.syntax import PrefProgram, close_preferences
+from prefas.syntax import PrefProgram
 from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
@@ -82,8 +82,7 @@ class TestPreferredAnswerSetsGno:
     @given(small_programs())
     def test_monotone_in_preferences(self, p):
         pairs = sorted(p.prefs)
-        sub = close_preferences(pairs[: len(pairs) // 2], [r.label for r in p.rules])
-        weaker = PrefProgram(p.rules, sub)
+        weaker = PrefProgram(p.rules, pairs[: len(pairs) // 2])
         assert literal_families(preferred_answer_sets_gno(p)) <= literal_families(
             preferred_answer_sets_gno(weaker)
         )

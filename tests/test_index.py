@@ -219,7 +219,7 @@ def _assert_attacks_match_the_definition(p, rng):
     for members in [0, (1 << len(rules)) - 1] + [rng.getrandbits(len(rules)) for _ in range(30)]:
         fired = base.minpos(r for i, r in enumerate(rules) if members >> i & 1)
         support = [r for r in rules if r.label in fired]
-        expected = sum(1 << i for i, r in enumerate(rules) if base.defeats(support, r))
+        expected = sum(1 << i for i, r in enumerate(rules) if base.defeats(support, [r]))
         assert idx.attacks(members) == expected, (members, sorted(fired))
 
 

@@ -1,14 +1,14 @@
 """The enumeration kernels against the object-level definitions, on every
 subset of small programs: the index's sentinel bit and free rules,
-``minpos`` against ``base.minpos`` and ``enum_closed`` against
-``is_fragment``.  ``enum_fixpoints`` is checked on the same programs in
+``minpos`` against ``base.minpos`` and, through its heads, against
+``base.gl_least_model``, and ``enum_closed`` against ``is_fragment``.  ``enum_fixpoints`` is checked on the same programs in
 ``test_base.TestEnumerationMatchesDefinition``."""
 
 import pytest
 from helpers import KERNEL_PROGRAMS, subsets_in_mask_order
 
 from prefas import base, kernels
-from prefas.base import minpos
+from prefas.base import gl_least_model, minpos
 from prefas.fragments import is_fragment
 
 PROGRAMS = [p for _, p in KERNEL_PROGRAMS]
@@ -47,6 +47,15 @@ def test_minpos_matches_the_rule_level_definition(p):
     for mask, labels in enumerate(subsets_in_mask_order(p)):
         want = idx.mask_of(minpos(p.rules_of(labels)))
         assert kernels.minpos(mask, idx.head_bits, idx.pos_masks, idx.free) == want
+
+
+@pytest.mark.parametrize("p", PROGRAMS, ids=IDS)
+def test_gl_least_model_is_the_heads_of_minpos(p):
+    idx = _tables(p)
+    for mask, labels in enumerate(subsets_in_mask_order(p)):
+        fired = kernels.minpos(mask, idx.head_bits, idx.pos_masks, idx.free)
+        heads = frozenset(r.head for i, r in enumerate(p.rules) if fired >> i & 1)
+        assert gl_least_model(p.rules_of(labels)) == heads
 
 
 @pytest.mark.parametrize("p", PROGRAMS, ids=IDS)

@@ -1,6 +1,6 @@
 """The front ends reach the index and the fragment lattice only through
 public names, so that ``base`` and ``fragments`` alone know how they are
-stored."""
+stored; and the rule-level definitions reach neither."""
 
 import ast
 from pathlib import Path
@@ -79,3 +79,66 @@ def test_front_end_uses_public_names_only(name):
 )
 def test_private_reaches_are_found(source, expected):
     assert private_reaches(source) == expected
+
+
+# The rule-level definitions that the tests and the benchmark's reference
+# builder use as oracles, by module.  They must not reach the enumeration
+# kernels or the shared index, or a fault there would show on both sides of
+# a differential test and cancel out.
+RULE_LEVEL = {
+    "base": [
+        "minpos", "gl_least_model", "gl_is_answer_set", "gl_answer_sets", "gr", "reduct",
+        "is_generating", "defeats",
+    ],
+    "direct": ["reduct_d"],
+    "gno": ["trules", "reduct_gno"],
+    "fragments": ["is_fragment", "conflicting", "overrides"],
+}
+FAST_PATH = {"kernels", "_index", "_Index", "_compiled"}
+
+
+def fast_path_names(source: str, names: list[str]) -> set[str]:
+    """The names of ``FAST_PATH`` that the functions ``names`` of
+    ``source`` mention, directly or through the module's own functions
+    they call."""
+    tree = ast.parse(source)
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    found: set[str] = set()
+    seen: set[str] = set()
+    todo = list(names)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                ident = node.id
+            elif isinstance(node, ast.Attribute):
+                ident = node.attr
+            else:
+                continue
+            if ident in FAST_PATH:
+                found.add(ident)
+            elif ident in functions:
+                todo.append(ident)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(RULE_LEVEL))
+def test_rule_level_definitions_stay_off_the_fast_path(module):
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert fast_path_names(source, RULE_LEVEL[module]) == set()
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("def f(p):\n    return kernels.minpos(p)", {"kernels"}),
+        ("def f(p):\n    return g(p)\ndef g(p):\n    return _index(p.rules).n", {"_index"}),
+        ("def f(p):\n    i: _Index = _compiled(p, None)", {"_Index", "_compiled"}),
+        ("def f(p):\n    return p.rules\ndef g(p):\n    return kernels", set()),
+    ],
+)
+def test_fast_path_names_are_found(source, expected):
+    assert fast_path_names(source, ["f"]) == expected

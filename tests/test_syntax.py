@@ -21,7 +21,6 @@ from prefas.syntax import (
     PreferenceCycleError,
     PrefProgram,
     Rule,
-    close_preferences,
     format_program,
     parse_program,
 )
@@ -405,26 +404,31 @@ class TestLiteral:
         assert table.get((Literal("a", False), "r1")) is None
 
 
-def test_close_preferences_chain():
-    closed = close_preferences({("r3", "r2"), ("r2", "r1")}, {"r1", "r2", "r3"})
+def closure(pairs, labels):
+    """The closed relation of ``pairs`` on a program of one fact per label."""
+    return PrefProgram(tuple(Rule(l, Literal(l)) for l in labels), tuple(pairs)).prefs
+
+
+def test_prefs_closure_chain():
+    closed = closure({("r3", "r2"), ("r2", "r1")}, {"r1", "r2", "r3"})
     assert closed == {("r3", "r2"), ("r2", "r1"), ("r3", "r1")}
 
 
-def test_close_preferences_empty():
-    assert close_preferences(set(), {"r1"}) == frozenset()
+def test_prefs_closure_empty():
+    assert closure(set(), {"r1"}) == frozenset()
 
 
-def test_close_preferences_two_cycle():
+def test_prefs_closure_two_cycle():
     with pytest.raises(PreferenceCycleError):
-        close_preferences({("r1", "r2"), ("r2", "r1")}, {"r1", "r2"})
+        closure({("r1", "r2"), ("r2", "r1")}, {"r1", "r2"})
 
 
-def test_close_preferences_self_pair():
+def test_prefs_closure_self_pair():
     with pytest.raises(PreferenceCycleError):
-        close_preferences({("r1", "r1")}, {"r1"})
+        closure({("r1", "r1")}, {"r1"})
 
 
-def test_close_preferences_long_cycle_in_program_text():
+def test_prefs_closure_long_cycle_in_program_text():
     with pytest.raises(PreferenceCycleError):
         parse_program("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.\nr3 < r1.")
 
@@ -437,7 +441,7 @@ def test_cycle_error_names_the_first_label_on_a_cycle(text, lo, hi):
 
 
 @pytest.mark.parametrize("acyclic", [True, False], ids=["acyclic", "any"])
-def test_close_preferences_matches_composition(acyclic):
+def test_prefs_closure_matches_composition(acyclic):
     rng = random.Random(16)
     raised = closed = 0
     for _ in range(400):
@@ -446,11 +450,11 @@ def test_close_preferences_matches_composition(acyclic):
         expected = closure_by_composition(pairs)
         cyclic = [lo for lo, hi in pairs if (lo, lo) in expected]
         if not cyclic:
-            assert close_preferences(pairs, labels) == expected
+            assert closure(pairs, labels) == expected
             closed += 1
             continue
         with pytest.raises(PreferenceCycleError) as error:
-            close_preferences(pairs, labels)
+            closure(pairs, labels)
         # the first label written as a lo that lies on a cycle, and its
         # first hi that leads back to it
         lo = cyclic[0]
@@ -461,14 +465,14 @@ def test_close_preferences_matches_composition(acyclic):
     assert raised == 0 if acyclic else raised
 
 
-def test_close_preferences_names_the_first_unknown_label():
+def test_prefs_closure_names_the_first_unknown_label():
     with pytest.raises(KeyError, match="'x'"):
-        close_preferences([("r1", "r2"), ("r2", "x"), ("y", "r1")], ["r1", "r2"])
+        closure([("r1", "r2"), ("r2", "x"), ("y", "r1")], ["r1", "r2"])
 
 
-def test_close_preferences_idempotent():
-    closed = close_preferences({("r3", "r2"), ("r2", "r1")}, {"r1", "r2", "r3"})
-    assert close_preferences(closed, {"r1", "r2", "r3"}) == closed
+def test_prefs_closure_idempotent():
+    closed = closure({("r3", "r2"), ("r2", "r1")}, {"r1", "r2", "r3"})
+    assert closure(closed, {"r1", "r2", "r3"}) == closed
 
 
 def test_format_round_trips_fixture():

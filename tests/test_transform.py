@@ -1,5 +1,6 @@
 import pytest
 from helpers import (
+    COLLIDING,
     KERNEL_PROGRAMS,
     even_loops,
     lits,
@@ -93,6 +94,27 @@ class TestStructure:
         assert all(a.startswith("__") for a in generated)
 
 
+class TestNameCollisions:
+    @pytest.mark.parametrize("text", COLLIDING.values(), ids=COLLIDING)
+    def test_taken_names_get_a_suffix(self, text):
+        p = parse_program(text)
+        t = transform(p)
+        generated = [*t.name_atoms.values(), *t.shadow_atoms.values(), t.inc_atom]
+        assert len(set(generated)) == len(generated)
+        _assert_rewritten_by_forms(p)
+        again = parse_program(format_transformed(t), allow_reserved=True)
+        assert again.rules == t.program
+        assert check_correspondence(p).ok
+
+    def test_the_later_shadow_takes_the_suffix(self):
+        t = transform(parse_program(COLLIDING["one_rule"]))
+        assert t.shadow_atoms[(Literal("neg_a"), "r1")] == "__s_r1_neg_a"
+        assert t.shadow_atoms[(Literal("a", False), "r1")] == "__s_r1_neg_a_1"
+        t = transform(parse_program(COLLIDING["two_rules"]))
+        assert t.shadow_atoms[(Literal("_x"), "r")] == "__s_r__x"
+        assert t.shadow_atoms[(Literal("x"), "r_")] == "__s_r__x_1"
+
+
 def _rewriting_draws():
     """200 random_lpp draws of 3 to 12 rules at preference densities 0 to
     0.9, every fifth one stratified."""
@@ -155,7 +177,7 @@ class TestSolving:
     def test_agrees_with_direct_enumeration_of_the_output(self):
         t = transform(RUN)
         ours = set(transformed_answer_sets(t))
-        theirs = literal_families(answer_sets(t.program, Bounds(max_rules=20)))
+        theirs = literal_families(answer_sets(PrefProgram(t.program), Bounds(max_rules=20)))
         assert ours == theirs
 
     def test_no_answer_set_contains_name_and_blocker(self):

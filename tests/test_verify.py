@@ -9,7 +9,7 @@ from prefas.base import answer_sets, is_stratified
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import preferred_answer_sets_g
 from prefas.gno import preferred_answer_sets_gno
-from prefas.syntax import close_preferences, format_program, parse_program
+from prefas.syntax import format_program, parse_program
 from prefas.verify import (
     SEMANTICS,
     GenParams,
@@ -87,28 +87,38 @@ class TestStratEquivalence:
 
 class TestMonotonicity:
     def test_empty_versus_fixture_prefs(self):
-        assert check_monotonicity(RUN.rules, frozenset(), RUN.prefs) == []
+        assert check_monotonicity(RUN, frozenset()) == []
 
     def test_equal_prefs_are_vacuous(self):
-        assert check_monotonicity(RUN.rules, RUN.prefs, RUN.prefs) == []
+        assert check_monotonicity(RUN, RUN.prefs) == []
 
     def test_non_nested_prefs_are_rejected(self):
         with pytest.raises(ValueError):
-            check_monotonicity(RUN.rules, {("r3", "r2")}, RUN.prefs)
+            check_monotonicity(RUN, {("r3", "r2")})
 
     def test_relations_are_compared_by_their_closures(self):
         # r1 < r3 is not written, but it is in the closure of the written pairs
         p = parse_program("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.")
-        assert check_monotonicity(p.rules, [("r1", "r3")], p.pairs) == []
-        assert check_monotonicity(p, [("r1", "r3")], p.pairs) == []
-        assert check_monotonicity(p.rules, p.prefs, p.pairs) == []
+        assert check_monotonicity(p, [("r1", "r3")]) == []
+        assert check_monotonicity(p, p.pairs) == []
+        assert check_monotonicity(p, p.prefs) == []
 
     def test_a_relation_outside_the_closure_is_rejected(self):
         p = parse_program("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.")
-        with pytest.raises(ValueError, match="closure of prefs1"):
-            check_monotonicity(p.rules, [("r3", "r1")], p.pairs)
-        with pytest.raises(ValueError, match="closure of prefs1"):
-            check_monotonicity(p.rules, [("r1", "r3"), ("r3", "r2")], p.pairs)
+        with pytest.raises(ValueError, match="closure of the weaker pairs"):
+            check_monotonicity(p, [("r3", "r1")])
+        with pytest.raises(ValueError, match="closure of the weaker pairs"):
+            check_monotonicity(p, [("r1", "r3"), ("r3", "r2")])
+
+    def test_a_violation_names_the_program_and_the_weaker_closure(self, monkeypatch):
+        # a broken solver that finds a set only under the stronger relation
+        p = parse_program("r1: a.\nr2: b.\nr3: c.\nr1 < r2.\nr2 < r3.")
+        monkeypatch.setattr(
+            verify, "preferred_families", lambda q, s, b=None, f=None: {lits("a")} if q is p else set()
+        )
+        (found,) = check_monotonicity(p, [("r2", "r3")])
+        assert found.program is p
+        assert found.witness == {"semantics": "g", "weaker": [("r2", "r3")], "escaped": [["a"]]}
 
 
 class TestPrincipleFixtures:
