@@ -76,13 +76,5 @@ def reduct_d(p: PrefProgram, r_labels: Iterable[str]) -> tuple[Rule, ...]:
     )
 
 
-def preferred_generating_sets_d(
-    p: PrefProgram, bounds: Bounds | None = None
-) -> list[frozenset[str]]:
-    """All rule sets R with R = minpos(reduct_d(p, R)), over every subset."""
-    idx, masks = _preferred_masks(p, bounds)
-    return [idx.labels_of(m) for m in masks]
-
-
 def preferred_answer_sets_d(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:
     return _answer_sets_from_masks(*_preferred_masks(p, bounds))

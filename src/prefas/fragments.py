@@ -211,27 +211,6 @@ def _witness(idx: _Index, r: int) -> FragmentFamily:
     return frozenset(idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r))
 
 
-def stable_fragment_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[FragmentFamily]:
-    """One stable fragment set per generating set: all fragments inside it.
-
-    A generating set R defeats none of its own fragments and every fragment
-    outside R, so the preference-free reduct returns exactly the fragments
-    inside R; the tests check this against ``reduct_g``.
-    """
-    idx = _lattice_index(p, bounds)
-    return [_witness(idx, idx.mask_of(r)) for r in generating_sets(p, bounds)]
-
-
-def preferred_stable_fragment_sets(
-    p: PrefProgram, bounds: Bounds | None = None
-) -> list[FragmentFamily]:
-    """Stable fragment sets fixed by the preference-aware reduct: the
-    fragments inside each generating set that ``_preferred_masks`` keeps.
-    The tests check this against ``reduct_g``."""
-    idx, masks = _preferred_masks(p, bounds)
-    return [_witness(idx, r) for r in masks]
-
-
 def preferred_answer_sets_g(
     p: PrefProgram, bounds: Bounds | None = None
 ) -> list[tuple[AnswerSet, FragmentFamily]]:

@@ -77,13 +77,5 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     return idx, out
 
 
-def preferred_generating_sets_gno(
-    p: PrefProgram, bounds: Bounds | None = None
-) -> list[frozenset[str]]:
-    """Generating sets R of the plain program with R = minpos(reduct_gno(R))."""
-    idx, masks = _preferred_masks(p, bounds)
-    return [idx.labels_of(m) for m in masks]
-
-
 def preferred_answer_sets_gno(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:
     return _answer_sets_from_masks(*_preferred_masks(p, bounds))

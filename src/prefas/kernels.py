@@ -1,4 +1,5 @@
-"""The enumeration kernels, over bitmask tables of one program.
+"""The enumeration kernels over the bitmask tables of one program, which
+every semantics searches through.
 
 A program with n rules is compiled into flat tables indexed by rule number:
 
@@ -12,6 +13,14 @@ A program with n rules is compiled into flat tables indexed by rule number:
   removes[j]    rules that rule j removes from the reduct when it is in
                 the tested subset
 
+``minpos`` computes one least fixpoint.  ``enum_fixpoints`` finds the rule
+sets that are fixpoints of a reduct by deciding which removal columns a
+set hits.  It propagates before it branches: a partial decision bounds
+every completion between two least fixpoints, which reject the branch or
+decide more columns, and it branches on one column only when nothing more
+follows (the alternating fixpoint of Van Gelder, PODS 1989).
+``enum_closed`` scans all 2^n rule subsets for the self-supporting ones.
+
 All sets are bitmasks, and the kernels walk their set bits, so a call costs
 in proportion to the rules it touches, not to n.  Enumeration results are
 ascending by mask value.
@@ -20,6 +29,8 @@ ascending by mask value.
 from __future__ import annotations
 
 from typing import Sequence
+
+BACKEND = "python"  # the one implementation, whose name benchmark runs record
 
 
 def free_rules(pos_masks: Sequence[int]) -> int:
@@ -64,6 +75,9 @@ def minpos(members: int, head_bits: Sequence[int], pos_masks: Sequence[int], fre
     return done
 
 
+_minpos = minpos  # the kernels call this name, so a wrapper on ``minpos`` sees only outside calls
+
+
 def enum_fixpoints(
     n: int, head_bits: Sequence[int], pos_masks: Sequence[int], removes: Sequence[int]
 ) -> list[int]:
@@ -104,7 +118,7 @@ def enum_fixpoints(
             low = removed_groups & -removed_groups
             removed |= columns[low.bit_length() - 1]
             removed_groups ^= low
-        r = rest = minpos(everything & ~removed, head_bits, pos_masks, free)
+        r = rest = _minpos(everything & ~removed, head_bits, pos_masks, free)
         hits = 0
         while rest:
             low = rest & -rest
@@ -143,6 +157,6 @@ def enum_closed(n: int, head_bits: Sequence[int], pos_masks: Sequence[int]) -> l
     free = free_rules(pos_masks)
     out = []
     for t in range(1 << n):
-        if minpos(t, head_bits, pos_masks, free) == t:
+        if _minpos(t, head_bits, pos_masks, free) == t:
             out.append(t)
     return out

@@ -90,10 +90,6 @@ class Literal(NamedTuple):
     def __str__(self) -> str:
         return self.atom if self.positive else "-" + self.atom
 
-    @property
-    def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
 
 class Rule(NamedTuple):
     """A labelled rule ``head :- pos_body, not neg_body``, as the tuple
@@ -316,14 +312,14 @@ def _parse_statements(text: str, allow_reserved: bool) -> PrefProgram:
         return lit
 
     rules: list[Rule] = []
-    position: dict[str, int] = {}  # label -> index of its rule
+    labels: set[str] = set()
     seen_bodies: set[tuple[Literal, frozenset[Literal], frozenset[Literal]]] = set()
     pairs: list[tuple[str, str]] = []
     for label, hi, head, body, other in _STATEMENT_RE.findall(text):
         if hi:
             pairs.append((label, hi))
         elif head:
-            if label in position:
+            if label in labels:
                 raise _NotAStatement
             head_lit = literals.get(head) or literal(head)
             pos: list[Literal] = []
@@ -339,16 +335,15 @@ def _parse_statements(text: str, allow_reserved: bool) -> PrefProgram:
             if key in seen_bodies:
                 raise _NotAStatement
             seen_bodies.add(key)
-            position[label] = len(rules)
+            labels.add(label)
             rules.append(rule)
         elif other:
             raise _NotAStatement
+    program = PrefProgram(tuple(rules), tuple(pairs))
     try:
-        rows = _closed_rows(position, pairs)  # also the cycle check
+        program.less  # the cycle check; the rows stay for the solver
     except KeyError:  # a pair names an unknown label
         raise _NotAStatement from None
-    program = PrefProgram(tuple(rules), tuple(pairs))
-    object.__setattr__(program, "less", rows)  # kept, so the solver need not build them again
     return program
 
 

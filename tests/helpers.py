@@ -4,6 +4,7 @@ import random
 
 from hypothesis import strategies as st
 
+from prefas import fragments
 from prefas.base import gl_is_answer_set, is_consistent, minpos
 from prefas.gno import reduct_gno
 from prefas.syntax import Literal, PrefProgram, Rule, parse_program
@@ -39,6 +40,28 @@ def gno_fixpoint_subsets(p):
     return [r for r in subsets_in_mask_order(p) if minpos(reduct_gno(p, r)) == r]
 
 
+def preferred_generating_sets(semantics, p):
+    """The preferred generating sets of ``semantics``, the module ``direct``
+    or ``gno``, as label sets in mask order."""
+    idx, masks = semantics._preferred_masks(p, None)
+    return [idx.labels_of(m) for m in masks]
+
+
+def stable_fragment_sets(p):
+    """One stable fragment set per generating set: the fragments inside it.
+    A generating set defeats none of its own fragments and every fragment
+    outside it, so the plain reduct returns exactly these, which the tests
+    check against ``reduct_g``."""
+    idx = fragments._lattice_index(p, None)
+    return [fragments._witness(idx, r) for r in idx.generating]
+
+
+def preferred_stable_fragment_sets(p):
+    """The stable fragment sets of the generating sets that ``g`` keeps."""
+    idx, masks = fragments._preferred_masks(p, None)
+    return [fragments._witness(idx, r) for r in masks]
+
+
 def transformed_answer_sets_by_literals(t):
     """Oracle for ``transform.transformed_answer_sets``: the same guesses
     over the name atoms, each closed under forms 1 and 3 over ``Literal``
@@ -60,6 +83,11 @@ def transformed_answer_sets_by_literals(t):
         if is_consistent(cand) and gl_is_answer_set(t.program, cand):
             out.append(cand)
     return out
+
+
+def rules_of_form(t, form):
+    """The rules of the rewritten program ``t`` of one form, 1 to 4."""
+    return [r for r in t.program if t.forms[r.label] == form]
 
 
 def rewrite_by_forms(p):

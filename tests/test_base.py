@@ -10,13 +10,14 @@ from helpers import (
     lits,
     literal_families,
     loops_with_tail,
+    preferred_generating_sets,
     small_programs,
     subsets_in_mask_order,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefas import fixtures, kernels
+from prefas import direct, fixtures, kernels
 from prefas.base import (
     BOUND_VARIABLES,
     AnswerSet,
@@ -34,8 +35,7 @@ from prefas.base import (
     minpos,
     reduct,
 )
-from prefas.direct import directly_overrides, preferred_generating_sets_d, reduct_d
-from prefas.kernels import python as kernel_python
+from prefas.direct import directly_overrides, reduct_d
 from prefas.syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule, parse_program
 from prefas.verify import GenParams, random_lpp
 
@@ -166,7 +166,7 @@ class TestEnumerationMatchesDefinition:
     @pytest.mark.parametrize("p", ENUMERATED_PROGRAMS)
     def test_preferred_generating_sets_d(self, p):
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
-        assert preferred_generating_sets_d(p) == expected
+        assert preferred_generating_sets(direct, p) == expected
 
     @pytest.mark.parametrize(
         "n_rules,seed", [(10, 6), (10, 87), (12, 0), (12, 18), (12, 54), (12, 70)]
@@ -177,7 +177,7 @@ class TestEnumerationMatchesDefinition:
         p = random_lpp(GenParams(seed=seed, n_rules=n_rules))
         assert any(directly_overrides(r1, r2, p.prefs) for r1 in p.rules for r2 in p.rules)
         expected = [r for r in subsets_in_mask_order(p) if minpos(reduct_d(p, r)) == r]
-        assert preferred_generating_sets_d(p) == expected
+        assert preferred_generating_sets(direct, p) == expected
 
     def test_preferred_generating_sets_d_on_loops_with_tail(self):
         # several generating sets per program, where random_lpp draws have
@@ -187,7 +187,7 @@ class TestEnumerationMatchesDefinition:
             p = loops_with_tail(seed)
             closed = [r for r in subsets_in_mask_order(p) if minpos(p.rules_of(r)) == r]
             expected = [r for r in closed if minpos(reduct_d(p, r)) == r]
-            assert preferred_generating_sets_d(p) == expected, seed
+            assert preferred_generating_sets(direct, p) == expected, seed
 
     @pytest.mark.parametrize("n_rules", [16, 18, 20])
     def test_answer_sets_match_the_classic_oracle(self, n_rules):
@@ -199,18 +199,18 @@ class TestEnumerationMatchesDefinition:
         # 8 independent even loops: 256 generating sets among 2^16 guesses
         # of the remover columns a set hits
         calls = 0
-        real = kernel_python.minpos
+        real = kernels._minpos
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return real(*args)
 
-        monkeypatch.setattr(kernel_python, "minpos", counted)
+        monkeypatch.setattr(kernels, "_minpos", counted)
         idx = _index(even_loops(8, 0).rules)
         found = kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.defeats)
         assert len(found) == 256
-        assert calls < 8 * 256
+        assert 0 < calls < 8 * 256
 
 
 class TestBoundsFromEnv:
@@ -273,7 +273,8 @@ class TestConsistency:
         # one complement tuple per literal, as the test was written before
         # it compared the atom count with the literal count
         distinct = set(literals)
-        assert is_consistent(literals) == (not any(l.complement in distinct for l in distinct))
+        clash = any(Literal(l.atom, not l.positive) in distinct for l in distinct)
+        assert is_consistent(literals) == (not clash)
 
 
 class TestClassicOracle:

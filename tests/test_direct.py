@@ -1,13 +1,12 @@
-from helpers import DIRECT_PAIR, lits, literal_families, small_programs
+from helpers import DIRECT_PAIR, lits, literal_families, preferred_generating_sets, small_programs
 from hypothesis import given, settings
 
-from prefas import fixtures
+from prefas import direct, fixtures
 from prefas.base import answer_sets, is_generating
 from prefas.direct import (
     directly_conflicting,
     directly_overrides,
     preferred_answer_sets_d,
-    preferred_generating_sets_d,
     reduct_d,
 )
 from prefas.syntax import PrefProgram
@@ -72,5 +71,5 @@ class TestPreferredAnswerSetsD:
         fams = literal_families(answer_sets(p))
         for a in preferred_answer_sets_d(p):
             assert a.literals in fams
-        for r in preferred_generating_sets_d(p):
+        for r in preferred_generating_sets(direct, p):
             assert is_generating(p, r)

@@ -9,7 +9,9 @@ from helpers import (
     lits,
     literal_families,
     loops_with_tail,
+    preferred_stable_fragment_sets,
     small_programs,
+    stable_fragment_sets,
     subsets_in_mask_order,
 )
 from hypothesis import given, settings
@@ -35,9 +37,7 @@ from prefas.fragments import (
     is_fragment,
     overrides,
     preferred_answer_sets_g,
-    preferred_stable_fragment_sets,
     reduct_g,
-    stable_fragment_sets,
 )
 from prefas.syntax import BoundExceededError, PrefProgram
 from prefas.verify import GenParams, random_lpp

@@ -5,18 +5,14 @@ from helpers import (
     lits,
     literal_families,
     loops_with_tail,
+    preferred_generating_sets,
     small_programs,
 )
 from hypothesis import given, settings
 
-from prefas import fixtures
+from prefas import fixtures, gno
 from prefas.base import answer_sets, generating_sets, is_stratified, minpos
-from prefas.gno import (
-    preferred_answer_sets_gno,
-    preferred_generating_sets_gno,
-    reduct_gno,
-    trules,
-)
+from prefas.gno import preferred_answer_sets_gno, reduct_gno, trules
 from prefas.syntax import PrefProgram
 from prefas.verify import GenParams, random_lpp
 
@@ -100,19 +96,19 @@ class TestMatchesTheDefinition:
             pref_density=0.9,
         )
         p = random_lpp(knobs)
-        assert preferred_generating_sets_gno(p) == _by_definition(p)
+        assert preferred_generating_sets(gno, p) == _by_definition(p)
 
     def test_loops_with_tail(self):
         for seed in range(400):
             p = loops_with_tail(seed)
-            assert preferred_generating_sets_gno(p) == _by_definition(p), seed
+            assert preferred_generating_sets(gno, p) == _by_definition(p), seed
 
     @pytest.mark.parametrize("k", range(1, 6))
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("chain", [False, True])
     def test_even_loops(self, k, seed, chain):
         p = even_loops(k, seed, chain)
-        assert preferred_generating_sets_gno(p) == _by_definition(p)
+        assert preferred_generating_sets(gno, p) == _by_definition(p)
 
 
 class TestFixpointWidening:
@@ -120,11 +116,11 @@ class TestFixpointWidening:
         # {r1, r2} solves the fixpoint equation but is not a generating set;
         # restricting candidates to generating sets is load-bearing.
         assert gno_fixpoint_subsets(BE) == [frozenset({"r1", "r2"})]
-        assert preferred_generating_sets_gno(BE) == []
+        assert preferred_generating_sets(gno, BE) == []
 
     @settings(max_examples=80, deadline=None)
     @given(small_programs(max_rules=4))
     def test_preferred_sets_are_among_the_fixpoints(self, p):
         widened = set(gno_fixpoint_subsets(p))
-        for r in preferred_generating_sets_gno(p):
+        for r in preferred_generating_sets(gno, p):
             assert r in widened

@@ -1,11 +1,12 @@
 """The enumeration kernels against the object-level definitions, on every
 subset of small programs: the index's sentinel bit and free rules,
 ``minpos`` against ``base.minpos`` and, through its heads, against
-``base.gl_least_model``, and ``enum_closed`` against ``is_fragment``.  ``enum_fixpoints`` is checked on the same programs in
+``base.gl_least_model``, and ``enum_closed`` against ``is_fragment``.
+``enum_fixpoints`` is checked on the same programs in
 ``test_base.TestEnumerationMatchesDefinition``."""
 
 import pytest
-from helpers import KERNEL_PROGRAMS, subsets_in_mask_order
+from helpers import KERNEL_PROGRAMS, loops_with_tail, subsets_in_mask_order
 
 from prefas import base, kernels
 from prefas.base import gl_least_model, minpos
@@ -63,3 +64,23 @@ def test_enum_closed_finds_the_fragments(p):
     idx = _tables(p)
     want = [m for m, labels in enumerate(subsets_in_mask_order(p)) if is_fragment(p, labels)]
     assert kernels.enum_closed(idx.n, idx.head_bits, idx.pos_masks) == want
+
+
+def test_the_public_minpos_sees_only_calls_from_outside_the_kernels(monkeypatch):
+    # the enumeration kernels call ``_minpos``, so a wrapper on ``minpos``,
+    # like the benchmark's traced run, counts the index's calls alone
+    calls = 0
+    real = kernels.minpos
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "minpos", counted)
+    idx = _tables(loops_with_tail(0))
+    assert kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.defeats)
+    assert kernels.enum_closed(idx.n, idx.head_bits, idx.pos_masks)
+    assert calls == 0
+    idx.attacks((1 << idx.n) - 1)
+    assert calls > 0

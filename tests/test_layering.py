@@ -1,13 +1,20 @@
 """The front ends reach the index and the fragment lattice only through
 public names, so that ``base`` and ``fragments`` alone know how they are
-stored; and the rule-level definitions reach neither."""
+stored; the rule-level definitions reach neither; and every layer that the
+benchmark's traced run wraps is a library function."""
 
 import ast
+import importlib
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "prefas"
+import prefas.kernels
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prefas"
 GUARDED = {"base", "fragments"}
 
 
@@ -142,3 +149,26 @@ def test_rule_level_definitions_stay_off_the_fast_path(module):
 )
 def test_fast_path_names_are_found(source, expected):
     assert fast_path_names(source, ["f"]) == expected
+
+
+def _benchmark_spans() -> types.ModuleType:
+    """``benchmarks/spans.py``, run from its text so that nothing is written
+    beside it; its dataclasses look the module up while it runs."""
+    path = ROOT / "benchmarks" / "spans.py"
+    module = sys.modules["benchmark_spans"] = types.ModuleType("benchmark_spans")
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules["benchmark_spans"]
+    return module
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, n, _ in _benchmark_spans().LAYERS])
+def test_every_traced_layer_is_a_library_function(module, name):
+    # a traced run stops on a layer that the library lacks
+    assert callable(getattr(importlib.import_module(f"prefas.{module}"), name, None))
+
+
+def test_the_kernel_backend_is_named():
+    # the benchmark records it with every run
+    assert isinstance(prefas.kernels.BACKEND, str)

@@ -368,12 +368,6 @@ class TestLiteral:
         assert str(Literal("p(x)", False)) == "-p(x)"
         assert repr(Literal("a", False)) == "Literal(atom='a', positive=False)"
 
-    def test_complement(self):
-        assert Literal("a").complement == Literal("a", False)
-        assert Literal("a", False).complement == Literal("a")
-        assert type(Literal("a").complement) is Literal
-        assert Literal("b").complement.complement == Literal("b")
-
     def test_sorted_by_atom_then_sign(self):
         found = sorted([Literal("b"), Literal("a"), Literal("b", False), Literal("a", False)])
         assert found == [Literal("a", False), Literal("a"), Literal("b", False), Literal("b")]

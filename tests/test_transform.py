@@ -6,6 +6,7 @@ from helpers import (
     lits,
     literal_families,
     rewrite_by_forms,
+    rules_of_form,
     small_programs,
     transformed_answer_sets_by_literals,
 )
@@ -45,7 +46,7 @@ def rule_count_formula(p):
 class TestStructure:
     def test_indirect_conflict_form_counts(self):
         t = transform(RUN)
-        assert [len(t.rules_of_form(f)) for f in (1, 2, 3, 4)] == [3, 3, 8, 2]
+        assert [len(rules_of_form(t, f)) for f in (1, 2, 3, 4)] == [3, 3, 8, 2]
         assert len(t.program) == 16
 
     def test_shadow_rule_for_less_preferred_support_is_absent(self):
@@ -53,8 +54,8 @@ class TestStructure:
         # shadow copy; the x shadow occurs in a body but is never derivable
         t = transform(RUN)
         x_shadow_r3 = t.shadow_literal(Literal("x"), "r3")
-        assert x_shadow_r3 not in {r.head for r in t.rules_of_form(3)}
-        assert x_shadow_r3 in {l for r in t.rules_of_form(3) for l in r.pos_body}
+        assert x_shadow_r3 not in {r.head for r in rules_of_form(t, 3)}
+        assert x_shadow_r3 in {l for r in rules_of_form(t, 3) for l in r.pos_body}
 
     def test_single_fact(self):
         t = transform(parse_program("r1: a."))
