@@ -27,7 +27,7 @@ tuple, kept in a small lru cache: the bitmask tables, the generating sets
 (found by :func:`prefas.kernels.enum_fixpoints`) and the fragment lattice
 (found by :func:`prefas.kernels.enum_closed`), each built on first use.
 The defeat relation is kept once, as ``defeats[j]``, the rules that rule j
-defeats: it is the column table of the generating-set search, and it
+defeats: it is the removal table of the generating-set search, and it
 gives each fragment the rules it defeats.  It is built from one mask per
 negative-body literal, in time linear in the program.  The preference
 semantics filter these tables with the program's closed preference rows,

@@ -149,9 +149,11 @@ def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
     idx = _lattice_index(p, bounds)
     e_masks = []
     for m in e:
-        mask = idx.mask_of(m)
+        labels = frozenset(m)
+        p.rules_of(labels)  # raises the KeyError that names unknown labels
+        mask = idx.mask_of(labels)
         if mask not in idx.fragments:
-            raise ValueError(f"{sorted(m)} is not a fragment of the program")
+            raise ValueError(f"{sorted(labels)} is not a fragment of the program")
         e_masks.append(mask)
     less = p.less
     frags = idx.fragments
@@ -163,12 +165,9 @@ def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
 
 
 def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
-    """The fragments f with low ⊆ f ⊆ high, ascending.  They are looked up
-    among the submasks of high minus low when those are fewer than the
-    fragments, and scanned for otherwise."""
+    """The fragments f with low ⊆ f ⊆ high, ascending, looked up among the
+    submasks of high minus low."""
     free = high & ~low
-    if 1 << free.bit_count() >= len(frags):
-        return [f for f in frags if f & low == low and f & ~high == 0]
     out = []
     sub = 0
     while True:  # the submasks of free, ascending

@@ -14,11 +14,11 @@ A program with n rules is compiled into flat tables indexed by rule number:
                 the tested subset
 
 ``minpos`` computes one least fixpoint.  ``enum_fixpoints`` finds the rule
-sets that are fixpoints of a reduct by deciding which removal columns a
-set hits.  It propagates before it branches: a partial decision bounds
-every completion between two least fixpoints, which reject the branch or
-decide more columns, and it branches on one column only when nothing more
-follows (the alternating fixpoint of Van Gelder, PODS 1989).
+sets that are fixpoints of a reduct by deciding rules in or out.  It
+propagates before it branches: a partial decision bounds every completion
+between two least fixpoints, which reject the branch or decide more rules,
+and it branches on one rule only when nothing more follows (the
+alternating fixpoint of Van Gelder, PODS 1989).
 ``enum_closed`` scans all 2^n rule subsets for the self-supporting ones.
 
 All sets are bitmasks, and the kernels walk their set bits, so a call costs
@@ -81,73 +81,60 @@ _minpos = minpos  # the kernels call this name, so a wrapper on ``minpos`` sees 
 def enum_fixpoints(
     n: int, head_bits: Sequence[int], pos_masks: Sequence[int], removes: Sequence[int]
 ) -> list[int]:
-    """All subsets R with R == minpos(all minus the union of removes[j], j in R).
+    """All subsets R with R == minpos(all minus cut(R)), where cut(S) is the
+    union of removes[j] over the rules j in S.
 
-    The kept set depends only on which columns R hits, where column j,
-    ``removes[j]``, is the set of rules that rule j removes.  Rules with
-    equal columns are grouped.  A guess G of the groups R hits fixes the
-    kept set, hence R_G = minpos(all minus the columns of G), and R_G is a
-    solution exactly when it hits the groups of G and no others.
-
-    The search keeps a partial guess: groups decided hit (H), decided not
-    hit (N) and undecided (U).  minpos is monotone, so every completion
-    G of H has R_G between rmin = minpos(all minus cols(H and U)) and
-    rmax = minpos(all minus cols(H)).  A branch is rejected when rmin hits
-    a group in N or rmax misses one in H.  Undecided groups that rmin hits
-    move to H, those that rmax misses move to N, and this repeats until
-    nothing changes; only then does the search branch on one undecided
-    group.  With U empty, rmin == rmax is a solution.  This is the
-    alternating-fixpoint approximation of Van Gelder (PODS 1989).  The two
-    branches split the guesses, so nothing is found twice.
+    The search decides rules: L holds the rules decided in and U the rules
+    not decided out.  Every R with L ⊆ R ⊆ U has cut(L) ⊆ cut(R) ⊆ cut(U),
+    and minpos is monotone, so R lies between kept(cut(U)) and
+    kept(cut(L)), where kept(C) = minpos(all minus C).  So L grows by
+    kept(cut(U)) and U shrinks to kept(cut(L)), until neither changes; a
+    branch with L ⊄ U holds no solution.  This is the alternating-fixpoint
+    approximation of Van Gelder (PODS 1989).  Then the search branches on
+    the lowest undecided rule j whose removes[j] adds to cut(L); a rule
+    whose removes[j] cut(L) already holds changes neither bound.  With no
+    such rule cut(L) == cut(U), so L == U is a solution.  The two branches
+    split the sets between L and U, so nothing is found twice.
     """
-    groups: dict[int, int] = {}  # non-zero column -> its group's index
-    group_of = [0] * n  # rule -> bit of its group, 0 for a zero column
-    for j, column in enumerate(removes):
-        if column:
-            group_of[j] = 1 << groups.setdefault(column, len(groups))
-    columns = list(groups)
-    every_group = (1 << len(columns)) - 1
     everything = (1 << n) - 1
     free = free_rules(pos_masks)
 
-    def least(removed_groups: int) -> tuple[int, int]:
-        """minpos with the columns of these groups removed, and the groups
-        that result hits."""
+    def cut(rules: int) -> int:
         removed = 0
-        while removed_groups:
-            low = removed_groups & -removed_groups
-            removed |= columns[low.bit_length() - 1]
-            removed_groups ^= low
-        r = rest = _minpos(everything & ~removed, head_bits, pos_masks, free)
-        hits = 0
-        while rest:
-            low = rest & -rest
-            hits |= group_of[low.bit_length() - 1]
-            rest ^= low
-        return r, hits
+        while rules:
+            low = rules & -rules
+            removed |= removes[low.bit_length() - 1]
+            rules ^= low
+        return removed
 
     out = []
-    stack = [(0, 0)]  # (groups decided hit, groups decided not hit)
+    # (lo = L, hi = U, and the cut(L) and cut(U) that last narrowed the
+    # other bound, -1 before the first)
+    stack = [(0, everything, -1, -1)]
     while stack:
-        hit, missed = stack.pop()
-        rmin, low = least(every_group & ~missed)
-        high = least(hit)[1]
-        while not (low & missed or hit & ~high):  # else no completion is a solution
-            grown_hit, grown_missed = hit | low, missed | every_group & ~high
-            if grown_hit == hit and grown_missed == missed:
-                undecided = every_group & ~hit & ~missed
-                if not undecided:
-                    out.append(rmin)
-                else:
-                    g = undecided & -undecided
-                    stack.append((hit, missed | g))
-                    stack.append((hit | g, missed))
-                break
-            if grown_missed != missed:
-                rmin, low = least(every_group & ~grown_missed)
-            if grown_hit != hit:
-                high = least(grown_hit)[1]
-            hit, missed = grown_hit, grown_missed
+        lo, hi, lo_cut, hi_cut = stack.pop()
+        while not lo & ~hi:  # else no completion is a solution
+            c = cut(hi)
+            if c != hi_cut:
+                hi_cut = c
+                lo |= _minpos(everything & ~c, head_bits, pos_masks, free)
+                continue
+            c = cut(lo)
+            if c != lo_cut:
+                lo_cut = c
+                hi &= _minpos(everything & ~c, head_bits, pos_masks, free)
+                continue
+            rest = hi & ~lo
+            while rest:
+                low = rest & -rest
+                if removes[low.bit_length() - 1] & ~lo_cut:
+                    stack.append((lo, hi ^ low, lo_cut, hi_cut))
+                    stack.append((lo | low, hi, lo_cut, hi_cut))
+                    break
+                rest ^= low
+            else:
+                out.append(lo)
+            break
     out.sort()
     return out
 

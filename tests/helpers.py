@@ -183,9 +183,10 @@ def defeater_masks_by_pairs(rules):
 
 
 def transpose(table, n):
-    """Oracle: column j of an n-row bit table, the rows that hold bit j.
-    Of ``defeater_masks_by_pairs`` it is the rules each rule defeats, and
-    of a remover table the column table of the generating-set search."""
+    """Oracle: the transpose of an n-row bit table, whose entry j holds
+    the rows that hold bit j.  Of ``defeater_masks_by_pairs`` it is the
+    rules each rule defeats, and of a remover table the ``removes`` table
+    of the generating-set search."""
     return [sum(1 << i for i in range(n) if table[i] >> j & 1) for j in range(n)]
 
 

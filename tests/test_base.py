@@ -196,8 +196,8 @@ class TestEnumerationMatchesDefinition:
             assert literal_families(answer_sets(p)) == set(gl_answer_sets(p))
 
     def test_search_grows_with_its_output(self, monkeypatch):
-        # 8 independent even loops: 256 generating sets among 2^16 guesses
-        # of the remover columns a set hits
+        # 8 independent even loops: 256 generating sets among the 2^16
+        # rule sets the search decides rule by rule
         calls = 0
         real = kernels._minpos
 

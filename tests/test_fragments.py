@@ -147,6 +147,11 @@ class TestReductG:
         with pytest.raises(ValueError):
             reduct_g(RUN, {labelset("r1")})
 
+    def test_unknown_label_named(self):
+        # the same error as ``PrefProgram.rules_of``, not a bare KeyError: 'zz'
+        with pytest.raises(KeyError, match=r"unknown rule labels: \['zz'\]"):
+            reduct_g(RUN, [["zz"]])
+
 
 class TestStableFragmentSets:
     def test_indirect_conflict(self):
