@@ -38,7 +38,7 @@ row that the rule defeats, and ``gno`` and ``g`` test each rule i against
 defeats, each with its own mask M_i built from ``less[i]``.  Each has a
 ``_preferred_masks(p, bounds)`` that returns the index and its preferred
 generating sets as masks, and every semantics, the plain one included,
-turns masks into answer sets in the one dedup step of
+turns masks into answer sets in the one assembly step of
 ``_answer_sets_from_masks``.  Results come in bitmask order over source
 rule order, and :class:`Bounds` caps the program size on every call.
 """
@@ -175,6 +175,16 @@ def is_generating(p: PrefProgram, r_labels: Iterable[str]) -> bool:
     return minpos(reduct(p, members)) == members
 
 
+def _at_bits(mask: int, items: Sequence) -> list:
+    """``items[i]`` for each set bit i of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
 class _Index:
     """Bitmask tables for one rule tuple, shared by every semantics.
 
@@ -217,10 +227,16 @@ class _Index:
         self._attacks: dict[int, int] = {}
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        return sum(1 << self.position[l] for l in set(labels))
+        """The rules named by ``labels``; a repeated label adds nothing,
+        and an unknown one raises ``KeyError``."""
+        position = self.position
+        mask = 0
+        for l in labels:
+            mask |= 1 << position[l]
+        return mask
 
     def labels_of(self, mask: int) -> frozenset[str]:
-        return frozenset(self.labels[i] for i in range(self.n) if mask >> i & 1)
+        return frozenset(_at_bits(mask, self.labels))
 
     def or_of(self, mask: int, table: Sequence[int]) -> int:
         """The union of ``table[i]`` over the rules i in ``mask``, visiting
@@ -302,30 +318,26 @@ def generating_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[frozen
 
 
 def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet]:
-    """The consistent head sets of ``masks``, each kept at its first mask.
+    """The consistent head sets of ``masks``, in their order.
 
-    Under ``as``, ``gno`` and ``g`` the masks are distinct generating sets,
-    and a generating set is fixed by its heads, since the reduct it is a
-    fixpoint of reads only heads(R); so no literal set repeats there, which
-    the tests check.  The ``d`` reduct reads which rules of R defeat a rule,
-    not only their heads, so that argument does not cover ``d``, and the
-    ``seen`` check stays for its sets.
+    Every semantics passes distinct generating sets: ``as``, ``gno`` and
+    ``g`` by construction, and ``d`` because a ``d``-preferred generating
+    set defeats none of its own rules, so it is a plain generating set too.
+    A generating set is fixed by its heads, since the reduct it is a
+    fixpoint of reads only heads(R), so no literal set repeats; the tests
+    check both facts.
     """
     out: list[AnswerSet] = []
-    seen: set[frozenset[Literal]] = set()
     for m in masks:
-        bits = idx.or_of(m, idx.head_bits)
-        lits = frozenset(l for j, l in enumerate(idx.head_lits) if bits >> j & 1)
-        if not is_consistent(lits) or lits in seen:
-            continue
-        seen.add(lits)
-        out.append(AnswerSet(lits, idx.labels_of(m)))
+        lits = frozenset(_at_bits(idx.or_of(m, idx.head_bits), idx.head_lits))
+        if is_consistent(lits):
+            out.append(AnswerSet(lits, idx.labels_of(m)))
     return out
 
 
 def answer_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:
-    """Answer sets of the plain program: heads of generating sets that are
-    consistent, deduplicated by literal set."""
+    """Answer sets of the plain program: the heads of generating sets that
+    are consistent."""
     idx = _compiled(p, bounds)
     return _answer_sets_from_masks(idx, idx.generating)
 

@@ -52,7 +52,7 @@ rules.  ``reduct_g`` keeps the pairwise override test over the whole
 lattice, as the oracle that the tests check the lemma against.
 
 Like ``direct`` and ``gno``, ``_preferred_masks`` returns masks for the
-shared dedup step ``_answer_sets_from_masks``.  Each answer set's witness,
+shared assembly step ``_answer_sets_from_masks``.  Each answer set's witness,
 like a stable fragment set and the result of ``reduct_g``, is a
 ``FragmentFamily``, a frozenset of label sets whose union and heads are
 the ``AnswerSet``'s ``generating`` and ``literals``.

@@ -13,7 +13,7 @@ spurious solutions that are not generating sets, so the restriction is
 part of the semantics, not an optimisation.  R's reduct drops rule i when
 minpos(R minus less[i]) defeats it, the test that ``g`` makes with a
 smaller mask (``base._beaten``).  The preferred sets go through the same
-dedup step as the plain answer sets.
+assembly step as the plain answer sets.
 
 This semantics applies preferences even between non-conflicting rules; a
 stratified program can lose its answer set under it.  In exchange it stays

@@ -18,7 +18,10 @@ sets that are fixpoints of a reduct by deciding rules in or out.  It
 propagates before it branches: a partial decision bounds every completion
 between two least fixpoints, which reject the branch or decide more rules,
 and it branches on one rule only when nothing more follows (the
-alternating fixpoint of Van Gelder, PODS 1989).
+alternating fixpoint of Van Gelder, PODS 1989).  It keeps the union of
+``removes`` over each bound next to the bound: the lower one's grows by OR
+with the rules that join it, and the upper one's is recomputed only after
+the upper bound shrank.
 ``enum_closed`` scans all 2^n rule subsets for the self-supporting ones.
 
 All sets are bitmasks, and the kernels walk their set bits, so a call costs
@@ -95,6 +98,12 @@ def enum_fixpoints(
     whose removes[j] cut(L) already holds changes neither bound.  With no
     such rule cut(L) == cut(U), so L == U is a solution.  The two branches
     split the sets between L and U, so nothing is found twice.
+
+    Each stack entry carries cut(L) and cut(U) with its bounds.  L only
+    grows, so cut(L) grows by OR with the cut of the rules that join it; U
+    only shrinks, so cut(U) is marked stale (-1) when it does and recomputed
+    when next read.  A bound narrows only when the other bound's cut
+    changed since it last did.
     """
     everything = (1 << n) - 1
     free = free_rules(pos_masks)
@@ -108,28 +117,35 @@ def enum_fixpoints(
         return removed
 
     out = []
-    # (lo = L, hi = U, and the cut(L) and cut(U) that last narrowed the
-    # other bound, -1 before the first)
-    stack = [(0, everything, -1, -1)]
+    # (L, U, cut(L), cut(U) or -1 while stale, and the cut(L) and cut(U)
+    # that last narrowed the other bound, -1 before the first)
+    stack = [(0, everything, 0, -1, -1, -1)]
     while stack:
-        lo, hi, lo_cut, hi_cut = stack.pop()
+        lo, hi, lo_cut, hi_cut, lo_used, hi_used = stack.pop()
         while not lo & ~hi:  # else no completion is a solution
-            c = cut(hi)
-            if c != hi_cut:
-                hi_cut = c
-                lo |= _minpos(everything & ~c, head_bits, pos_masks, free)
+            if hi_cut < 0:
+                hi_cut = cut(hi)
+            if hi_cut != hi_used:
+                hi_used = hi_cut
+                grown = _minpos(everything & ~hi_cut, head_bits, pos_masks, free) & ~lo
+                if grown:
+                    lo |= grown
+                    lo_cut |= cut(grown)
                 continue
-            c = cut(lo)
-            if c != lo_cut:
-                lo_cut = c
-                hi &= _minpos(everything & ~c, head_bits, pos_masks, free)
+            if lo_cut != lo_used:
+                lo_used = lo_cut
+                kept = hi & _minpos(everything & ~lo_cut, head_bits, pos_masks, free)
+                if kept != hi:
+                    hi = kept
+                    hi_cut = -1
                 continue
             rest = hi & ~lo
             while rest:
                 low = rest & -rest
-                if removes[low.bit_length() - 1] & ~lo_cut:
-                    stack.append((lo, hi ^ low, lo_cut, hi_cut))
-                    stack.append((lo | low, hi, lo_cut, hi_cut))
+                row = removes[low.bit_length() - 1]
+                if row & ~lo_cut:
+                    stack.append((lo, hi ^ low, lo_cut, -1, lo_used, hi_used))
+                    stack.append((lo | low, hi, lo_cut | row, hi_cut, lo_used, hi_used))
                     break
                 rest ^= low
             else:

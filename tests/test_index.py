@@ -16,13 +16,14 @@ from helpers import (
     loops_with_tail,
     random_pairs,
     small_programs,
+    subsets_in_mask_order,
     transpose,
 )
 from hypothesis import given, settings
 
 from prefas import base, direct, fixtures, gno, kernels, verify
 from prefas import fragments as fragments_module
-from prefas.base import Bounds, answer_sets, generating_sets
+from prefas.base import AnswerSet, Bounds, answer_sets, generating_sets, is_consistent
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
 from prefas.gno import preferred_answer_sets_gno
@@ -105,28 +106,93 @@ def _generating_masks(p, bounds):
     return idx, idx.generating
 
 
-@pytest.mark.parametrize(
-    "masks_of",
-    [_generating_masks, gno._preferred_masks, fragments_module._preferred_masks],
-    ids=["as", "gno", "g"],
-)
-def test_distinct_generating_sets_have_distinct_heads(masks_of):
-    """The masks that ``as``, ``gno`` and ``g`` hand to the dedup step are
-    distinct generating sets, and a generating set is fixed by its heads
-    (R = minpos(reduct(P, R)), and the reduct reads only heads(R)), so the
-    dedup step never drops one of theirs."""
-    checked = 0
+def _assembly_programs():
+    """The kernel programs, loops with and without a tail and seeded draws,
+    some of them with preferences that give ``d`` a table of its own."""
+    yield from (p for _, p in KERNEL_PROGRAMS)
+    yield from (loops_with_tail(seed) for seed in range(20))
+    for k in range(1, 6):
+        for seed in range(3):
+            yield even_loops(k, seed)
+            yield even_loops(k, seed, chain=True)
     for n_rules in (6, 8, 10, 12):
         for density in (0.3, 0.6, 0.9):
             for seed in range(12):
-                p = verify.random_lpp(GenParams(
+                yield verify.random_lpp(GenParams(
                     seed=seed, n_rules=n_rules, n_atoms=3 + seed % 4, pref_density=density
                 ))
-                idx, masks = masks_of(p, None)
-                heads = {idx.or_of(m, idx.head_bits) for m in masks}
-                assert len(heads) == len(masks)
-                checked += len(masks)
+
+
+def test_d_preferred_sets_are_generating_sets():
+    """A ``d``-preferred generating set R defeats none of its own rules:
+    if j in R defeated i in R, i would directly override j, so j would not
+    override i and i would remove j.  So R = minpos(R) lies inside
+    minpos(P minus A(R)), which lies inside R, since ``d`` removes no more
+    than ``defeats``."""
+    own_table = 0
+    for p in _assembly_programs():
+        idx, masks = direct._preferred_masks(p, None)
+        assert set(masks) <= set(idx.generating)
+        own_table += direct._removes(p, idx) != idx.defeats
+    assert own_table  # some programs do not pass the plain generating sets through
+
+
+@pytest.mark.parametrize(
+    "masks_of",
+    [_generating_masks, direct._preferred_masks, gno._preferred_masks,
+     fragments_module._preferred_masks],
+    ids=["as", "d", "gno", "g"],
+)
+def test_distinct_generating_sets_have_distinct_heads(masks_of):
+    """The masks that every semantics hands to the assembly step are
+    distinct generating sets (for ``d`` by the test above), and a
+    generating set is fixed by its heads (R = minpos(reduct(P, R)), and
+    the reduct reads only heads(R)), so no literal set repeats in a
+    result."""
+    checked = 0
+    for p in _assembly_programs():
+        idx, masks = masks_of(p, None)
+        heads = {idx.or_of(m, idx.head_bits) for m in masks}
+        assert len(heads) == len(masks)
+        found = base._answer_sets_from_masks(idx, masks)
+        assert len({a.literals for a in found}) == len(found)
+        checked += len(found)
     assert checked
+
+
+@pytest.mark.parametrize("p", [p for _, p in KERNEL_PROGRAMS], ids=[n for n, _ in KERNEL_PROGRAMS])
+def test_masks_and_labels_convert_both_ways(p):
+    idx = base._index.__wrapped__(p.rules)
+    for mask, labels in enumerate(subsets_in_mask_order(p)):
+        assert idx.mask_of(labels) == mask
+        assert idx.labels_of(mask) == labels
+
+
+def test_mask_of_ignores_repeats_and_names_unknown_labels():
+    idx = base._index.__wrapped__(loops_with_tail(0).rules)
+    labels = list(idx.labels[::2])
+    assert idx.mask_of(labels + labels[:3]) == idx.mask_of(set(labels))
+    with pytest.raises(KeyError, match="zz"):
+        idx.mask_of([labels[0], "zz"])
+
+
+def _answer_sets_by_rules(p, generating):
+    """Oracle for the assembly step: the heads of each label set, read
+    rule by rule, when consistent and not found at an earlier set."""
+    out = []
+    for labels in generating:
+        heads = frozenset(p.rule(l).head for l in labels)
+        if is_consistent(heads) and all(heads != a.literals for a in out):
+            out.append(AnswerSet(heads, labels))
+    return out
+
+
+@pytest.mark.parametrize("p", [p for _, p in KERNEL_PROGRAMS], ids=[n for n, _ in KERNEL_PROGRAMS])
+def test_answer_sets_are_assembled_from_the_rules(p):
+    idx = base._index.__wrapped__(p.rules)
+    subsets = subsets_in_mask_order(p)
+    want = _answer_sets_by_rules(p, [subsets[m] for m in idx.generating])
+    assert base._answer_sets_from_masks(idx, idx.generating) == want
 
 
 def _assert_tables_match_the_oracles(p, lattice=True):

@@ -5,12 +5,14 @@ subset of small programs: the index's sentinel bit and free rules,
 ``enum_fixpoints`` is checked on the same programs in
 ``test_base.TestEnumerationMatchesDefinition``; here it is checked against a
 scan of every subset on random tables that no program produces, and its
-``minpos`` calls are counted on programs whose rules remove little."""
+``minpos`` calls are counted on programs whose rules remove little, and
+its reads of ``removes`` on even loops, where it carries the cuts of its
+bounds instead of recomputing them."""
 
 import random
 
 import pytest
-from helpers import KERNEL_PROGRAMS, loops_with_tail, subsets_in_mask_order
+from helpers import KERNEL_PROGRAMS, even_loops, loops_with_tail, subsets_in_mask_order
 
 from prefas import base, kernels
 from prefas.base import gl_least_model, minpos
@@ -148,3 +150,32 @@ def test_search_branches_only_on_rules_that_remove_more(monkeypatch, text, found
     idx = _tables(parse_program(text))
     assert len(kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, idx.defeats)) == found
     assert 0 < calls < bound
+
+
+class CountedRows(tuple):
+    """A removal table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_search_carries_its_cuts(monkeypatch):
+    # 8 even loops, 256 generating sets: recomputing cut(L) and cut(U) on
+    # every step reads the table 21,452 times, carrying them 5,100 times
+    calls = 0
+    real = kernels._minpos
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_minpos", counted)
+    idx = _tables(even_loops(8, 0))
+    removes = CountedRows(idx.defeats)
+    assert len(kernels.enum_fixpoints(idx.n, idx.head_bits, idx.pos_masks, removes)) == 256
+    assert 0 < removes.reads < 8000
+    assert calls <= 1022
