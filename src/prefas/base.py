@@ -38,9 +38,12 @@ row that the rule defeats, and ``gno`` and ``g`` test each rule i against
 defeats, each with its own mask M_i built from ``less[i]``.  Each has a
 ``_preferred_masks(p, bounds)`` that returns the index and its preferred
 generating sets as masks, and every semantics, the plain one included,
-turns masks into answer sets in the one assembly step of
-``_answer_sets_from_masks``.  Results come in bitmask order over source
-rule order, and :class:`Bounds` caps the program size on every call.
+turns masks into answer sets in the one assembly step of ``_assembled``:
+one walk over a mask's set bits gathers its heads and its labels, and a
+set whose heads hold a mask of ``clashes``, one per pair of complementary
+head literals, is dropped as inconsistent.  Results come in bitmask order
+over source rule order, and :class:`Bounds` caps the program size on
+every call.
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ class _Index:
     no separate table for it.  ``free`` holds the rules whose positive body
     is empty, which fire at once.  ``defeats[j]`` holds the rules that
     rule j defeats, read off one table from each negative-body literal to
-    the rules that hold it, so no rule is tested against another.  The
+    the rules that hold it, so no rule is tested against another.
+    ``clashes`` holds one head mask per pair of complementary head
+    literals, so a head set is consistent when it holds none of them.  The
     tables are built here, ``generating`` and ``fragments`` on first use,
     and ``attacks`` per argument; ``_index`` keeps one index per rule
     tuple, so each tuple is scanned at most once for each.
@@ -224,6 +229,11 @@ class _Index:
             for l in r.neg_body:
                 negated_in[l] = negated_in.get(l, 0) | 1 << i
         self.defeats = tuple(negated_in.get(r.head, 0) for r in rules)
+        self.clashes = tuple(
+            1 << i | 1 << head_id[Literal(l.atom)]
+            for i, l in enumerate(self.head_lits)
+            if not l.positive and Literal(l.atom) in head_id
+        )
         self._attacks: dict[int, int] = {}
 
     def mask_of(self, labels: Iterable[str]) -> int:
@@ -317,9 +327,12 @@ def generating_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[frozen
     return [idx.labels_of(m) for m in idx.generating]
 
 
-def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet]:
-    """The consistent head sets of ``masks``, in their order.
+def _assembled(idx: _Index, masks: Iterable[int]) -> Iterator[tuple[int, AnswerSet]]:
+    """Each of ``masks`` whose heads are consistent, with its answer set, in
+    their order.
 
+    One walk over a mask's set bits gathers its head bits and its labels.
+    The heads are consistent when they hold no mask of ``idx.clashes``.
     Every semantics passes distinct generating sets: ``as``, ``gno`` and
     ``g`` by construction, and ``d`` because a ``d``-preferred generating
     set defeats none of its own rules, so it is a plain generating set too.
@@ -327,12 +340,28 @@ def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet
     fixpoint of reads only heads(R), so no literal set repeats; the tests
     check both facts.
     """
-    out: list[AnswerSet] = []
+    labels, head_bits, head_lits, clashes = idx.labels, idx.head_bits, idx.head_lits, idx.clashes
     for m in masks:
-        lits = frozenset(_at_bits(idx.or_of(m, idx.head_bits), idx.head_lits))
-        if is_consistent(lits):
-            out.append(AnswerSet(lits, idx.labels_of(m)))
-    return out
+        heads = 0
+        members = []
+        rest = m
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
+            heads |= head_bits[i]
+            members.append(labels[i])
+            rest ^= low
+        for pair in clashes:
+            if heads & pair == pair:
+                break
+        else:
+            yield m, AnswerSet(frozenset(_at_bits(heads, head_lits)), frozenset(members))
+
+
+def _answer_sets_from_masks(idx: _Index, masks: Iterable[int]) -> list[AnswerSet]:
+    """The consistent head sets of ``masks``, in their order, as
+    ``_assembled`` finds them."""
+    return [a for _, a in _assembled(idx, masks)]
 
 
 def answer_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[AnswerSet]:

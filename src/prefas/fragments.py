@@ -41,21 +41,28 @@ makes this test, and ``gno`` makes it with M_i = less[i].
 Pruning.  Call a rule i outside R robust when the same test holds with
 A(O) in place of A(D), where O is every rule outside R.  A(D) ⊆ A(O) and
 minpos is monotone, so E removes every fragment whose outside part holds
-a robust rule.  Only the fragments between R and everything but the
-robust rules are tested, one per outside part D, and the first one that
-survives rejects R.
+a robust rule.  So ``_preferred_masks`` reads the generating sets off the
+shared index and, for each R, computes F, the rules outside R that are
+not robust, once.  It walks the non-empty submasks D of F in ascending
+order, tests each D with D ∪ R a fragment, and stops at the first that
+survives, which rejects R.  An R with F = ∅ is kept without reading the
+fragment lattice.
 
 The fragment lattice, with A(f) for each fragment f, and ``attacks``
-depend on the rules alone, so they live on the program's shared index;
-only the preference table ``less`` differs between programs with the same
-rules.  ``reduct_g`` keeps the pairwise override test over the whole
-lattice, as the oracle that the tests check the lemma against.
+depend on the rules alone, so they live on the program's shared index,
+the lattice built on first use; only the preference table ``less``
+differs between programs with the same rules.  ``reduct_g`` keeps the
+pairwise override test over the whole lattice, as the oracle that the
+tests check the lemma against.
 
 Like ``direct`` and ``gno``, ``_preferred_masks`` returns masks for the
-shared assembly step ``_answer_sets_from_masks``.  Each answer set's witness,
-like a stable fragment set and the result of ``reduct_g``, is a
-``FragmentFamily``, a frozenset of label sets whose union and heads are
-the ``AnswerSet``'s ``generating`` and ``literals``.
+shared assembly step ``base._assembled``, which keeps the masks with
+consistent heads.  ``preferred_answer_sets_g`` pairs each kept mask with
+its witness, the fragments inside it, so a preferred set with clashing
+heads needs no lattice either.  The witness, like a stable fragment set
+and the result of ``reduct_g``, is a ``FragmentFamily``, a frozenset of
+label sets whose union and heads are the ``AnswerSet``'s ``generating``
+and ``literals``.
 """
 
 from __future__ import annotations
@@ -65,12 +72,12 @@ from typing import Iterable, Sequence
 from .base import (
     AnswerSet,
     Bounds,
-    _answer_sets_from_masks,
+    _assembled,
     _beaten,
+    _check_rule_bound,
     _compiled,
     _Index,
     defeats,
-    generating_sets,
     minpos,
 )
 from .syntax import PrefProgram
@@ -164,20 +171,6 @@ def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
     )
 
 
-def _fragments_between(frags: dict[int, int], low: int, high: int) -> list[int]:
-    """The fragments f with low ⊆ f ⊆ high, ascending, looked up among the
-    submasks of high minus low."""
-    free = high & ~low
-    out = []
-    sub = 0
-    while True:  # the submasks of free, ascending
-        if (sub | low) in frags:
-            out.append(sub | low)
-        if sub == free:
-            return out
-        sub = (sub - free) & free
-
-
 def _part_removed(idx: _Index, less: Sequence[int], r: int, d: int) -> bool:
     """Do the fragments inside ``r`` remove the fragment with outside part
     ``d``, that is d | r?  The lemma of the module description."""
@@ -186,28 +179,41 @@ def _part_removed(idx: _Index, less: Sequence[int], r: int, d: int) -> bool:
 
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
     """The generating sets R whose fragments remove every fragment outside
-    R, as masks, ascending; one fragment D | R is tested per outside part D
-    free of robust rules, as the module description explains."""
+    R, as masks, ascending.  The outside parts D are the non-empty submasks
+    of the rules outside R that are not robust, walked in ascending order;
+    each D with D | R a fragment is tested once, and the first that
+    survives rejects R.  An R with no such rule is kept without reading
+    the lattice."""
     idx = _lattice_index(p, bounds)
+    _check_rule_bound(idx.n, bounds)  # the generating-set search's bound
     less = p.less
     everything = (1 << idx.n) - 1
     out = []
-    for labels in generating_sets(p, bounds):
-        r = idx.mask_of(labels)
+    for r in idx.generating:
         outside = everything & ~r
-        robust = sum(_beaten(idx, less, r, outside, idx.or_of(outside, idx.defeats)))
-        frags = idx.fragments  # built only when some generating set needs it
-        if all(
-            _part_removed(idx, less, r, x & ~r)
-            for x in _fragments_between(frags, r, everything & ~robust)[1:]  # R is first
-        ):
+        unsettled = outside & ~sum(_beaten(idx, less, r, outside, idx.or_of(outside, idx.defeats)))
+        part = 0
+        while part != unsettled:  # the non-empty submasks of unsettled, ascending
+            part = (part - unsettled) & unsettled
+            if (part | r) in idx.fragments and not _part_removed(idx, less, r, part):
+                break
+        else:
             out.append(r)
     return idx, out
 
 
 def _witness(idx: _Index, r: int) -> FragmentFamily:
-    """The fragments inside the generating set ``r``."""
-    return frozenset(idx.labels_of(m) for m in _fragments_between(idx.fragments, 0, r))
+    """The fragments inside the generating set ``r``, looked up among its
+    submasks."""
+    frags = idx.fragments
+    found = []
+    sub = 0
+    while True:  # the submasks of r
+        if sub in frags:
+            found.append(idx.labels_of(sub))
+        if sub == r:
+            return frozenset(found)
+        sub = (sub - r) & r
 
 
 def preferred_answer_sets_g(
@@ -216,7 +222,4 @@ def preferred_answer_sets_g(
     """Preferred answer sets, each with the fragments inside its generating
     set as the witnessing preferred stable fragment set."""
     idx, masks = _preferred_masks(p, bounds)
-    return [
-        (a, _witness(idx, idx.mask_of(a.generating)))
-        for a in _answer_sets_from_masks(idx, masks)
-    ]
+    return [(a, _witness(idx, m)) for m, a in _assembled(idx, masks)]

@@ -183,11 +183,13 @@ def transformed_answer_sets(
     contradicts H or N, or when close(H) holds a complementary pair; forced
     rules join H or N and the bounds are recomputed until nothing more
     follows, and only then does the search branch on the lowest undecided
-    name atom.  With nothing undecided the bounds meet, and every rule is
-    forced the way it was decided, so close(H) is a candidate.  The two
-    branches split the guesses, so nothing is found twice, and no step
-    drops a G that passes both tests.  The classic reduct-and-least-model
-    test stays the final word on every candidate.
+    name atom.  Each stack entry carries close(H) and close(all ∖ N), so a
+    branch recomputes only the closure whose decision grew.  With nothing
+    undecided the bounds meet, and every rule is forced the way it was
+    decided, so close(H) is a candidate.  The two branches split the
+    guesses, so nothing is found twice, and no step drops a G that passes
+    both tests.  The classic reduct-and-least-model test stays the final
+    word on every candidate.
 
     The search propagates the way ``kernels.enum_fixpoints`` does, but it
     shares no code with it.  The route calls no enumeration kernel, no
@@ -248,10 +250,15 @@ def transformed_answer_sets(
         return model
 
     found = []
-    stack = [(0, 0)]  # (names decided in, names decided out)
+    # (names decided in, names decided out, and the closures of the two
+    # bounds, -1 while stale)
+    stack = [(0, 0, -1, -1)]
     while stack:
-        hit, missed = stack.pop()
-        low, high = close(hit), close(everything & ~missed)
+        hit, missed, low, high = stack.pop()
+        if low < 0:
+            low = close(hit)
+        if high < 0:
+            high = close(everything & ~missed)
         while not any(low & c == c for c in clashes):
             forced_in = forced_out = 0
             for i, (pos, neg) in blocking:
@@ -268,8 +275,8 @@ def transformed_answer_sets(
                     found.append((hit, low))
                 else:
                     g = undecided & -undecided
-                    stack.append((hit, missed | g))
-                    stack.append((hit | g, missed))
+                    stack.append((hit, missed | g, low, -1))
+                    stack.append((hit | g, missed, -1, high))
                 break
             if grown_hit != hit:
                 hit, low = grown_hit, close(grown_hit)

@@ -16,7 +16,7 @@ from helpers import (
 )
 from hypothesis import given, settings
 
-from prefas import fixtures
+from prefas import base, fixtures
 from prefas import fragments as fragments_module
 from prefas.base import (
     AnswerSet,
@@ -39,7 +39,7 @@ from prefas.fragments import (
     preferred_answer_sets_g,
     reduct_g,
 )
-from prefas.syntax import BoundExceededError, PrefProgram
+from prefas.syntax import BoundExceededError, PrefProgram, parse_program
 from prefas.verify import GenParams, random_lpp
 
 RUN = fixtures.load("indirect_conflict")
@@ -234,6 +234,15 @@ class TestPreferredAnswerSetsG:
         assert g_families(got) == {s2}
         [(answer, _)] = got
         assert answer.generating == {"r1", "r2", "u2", "u4"}
+
+    def test_robust_outside_rules_leave_the_lattice_unbuilt(self):
+        # r1 defeats r3, so r3 is robust outside {r1, r2}, the one
+        # generating set; its heads clash, so no witness is needed either
+        p = parse_program("r1: a.\nr2: -a.\nr3: b :- not a.")
+        base._index.cache_clear()
+        assert generating_sets(p) == [labelset("r1", "r2")]
+        assert preferred_answer_sets_g(p) == []
+        assert "fragments" not in base._index(p.rules).__dict__
 
     def brute_force_preferred(self, p):
         frags = fragments(p)

@@ -27,7 +27,7 @@ from prefas.base import AnswerSet, Bounds, answer_sets, generating_sets, is_cons
 from prefas.direct import preferred_answer_sets_d
 from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
 from prefas.gno import preferred_answer_sets_gno
-from prefas.syntax import BoundExceededError, PrefProgram
+from prefas.syntax import BoundExceededError, PrefProgram, parse_program
 from prefas.verify import GenParams, fuzz
 
 RUN = fixtures.load("indirect_conflict")
@@ -193,6 +193,33 @@ def test_answer_sets_are_assembled_from_the_rules(p):
     subsets = subsets_in_mask_order(p)
     want = _answer_sets_by_rules(p, [subsets[m] for m in idx.generating])
     assert base._answer_sets_from_masks(idx, idx.generating) == want
+
+
+# a program with both a and -a as heads, and both b and -b
+CLASHING_HEADS = parse_program(
+    "r1: a :- not b.\nr2: -a :- not -b.\nr3: b :- not a.\nr4: -b.\nr5: c :- a.\nr6: -a :- c."
+)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [p for _, p in KERNEL_PROGRAMS] + [CLASHING_HEADS],
+    ids=[n for n, _ in KERNEL_PROGRAMS] + ["clashing-heads"],
+)
+def test_clash_masks_drop_exactly_the_inconsistent_head_sets(p):
+    """Over every rule subset, the heads hold a mask of ``idx.clashes``
+    exactly when ``is_consistent`` rejects them, and the assembly step
+    drops exactly those sets."""
+    idx = base._index.__wrapped__(p.rules)
+    subsets = subsets_in_mask_order(p)
+    kept = {a.generating for a in base._answer_sets_from_masks(idx, range(len(subsets)))}
+    for mask, labels in enumerate(subsets):
+        heads = idx.or_of(mask, idx.head_bits)
+        consistent = is_consistent(p.rule(l).head for l in labels)
+        assert all(heads & c != c for c in idx.clashes) == consistent, sorted(labels)
+        assert (labels in kept) == consistent, sorted(labels)
+    assert len(idx.clashes) == sum(not l.positive and (l.atom, True) in idx.head_lits
+                                   for l in idx.head_lits)
 
 
 def _assert_tables_match_the_oracles(p, lattice=True):
