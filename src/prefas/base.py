@@ -20,7 +20,10 @@ take rules, and the first two share one least-model loop.
 reduction (delete rules whose negative body meets the candidate, drop the
 remaining negative bodies, take the least model) and is kept deliberately
 simple and separate from the enumeration kernels so the two routes check
-each other.
+each other.  The ``g`` semantics' oracle, the preference-aware fragment
+reduct over the whole lattice, lives in the tests, as
+``reduct_g_by_definition`` in ``tests/helpers.py``: it is built from the
+rule-level definitions, not from the index below.
 
 Every table derived from the rules alone lives on one ``_Index`` per rule
 tuple, kept in a small lru cache: the bitmask tables, the generating sets
@@ -209,7 +212,6 @@ class _Index:
     def __init__(self, rules: tuple[Rule, ...]):
         self.n = len(rules)
         self.labels = tuple(r.label for r in rules)
-        self.position = {label: i for i, label in enumerate(self.labels)}
         head_id: dict[Literal, int] = {}
         for r in rules:
             head_id.setdefault(r.head, len(head_id))
@@ -236,27 +238,8 @@ class _Index:
         )
         self._attacks: dict[int, int] = {}
 
-    def mask_of(self, labels: Iterable[str]) -> int:
-        """The rules named by ``labels``; a repeated label adds nothing,
-        and an unknown one raises ``KeyError``."""
-        position = self.position
-        mask = 0
-        for l in labels:
-            mask |= 1 << position[l]
-        return mask
-
     def labels_of(self, mask: int) -> frozenset[str]:
         return frozenset(_at_bits(mask, self.labels))
-
-    def or_of(self, mask: int, table: Sequence[int]) -> int:
-        """The union of ``table[i]`` over the rules i in ``mask``, visiting
-        only its set bits."""
-        bits = 0
-        while mask:
-            low = mask & -mask
-            bits |= table[low.bit_length() - 1]
-            mask ^= low
-        return bits
 
     def minpos_mask(self, members: int) -> int:
         return kernels.minpos(members, self.head_bits, self.pos_masks, self.free)
@@ -266,7 +249,8 @@ class _Index:
         ``members`` defeats, memoised per ``members``."""
         found = self._attacks.get(members)
         if found is None:
-            found = self._attacks[members] = self.or_of(self.minpos_mask(members), self.defeats)
+            found = kernels._or_of(self.minpos_mask(members), self.defeats)
+            self._attacks[members] = found
         return found
 
     @cached_property
@@ -278,10 +262,10 @@ class _Index:
     def fragments(self) -> dict[int, int]:
         """Each fragment as a mask, ascending, mapped to A(f), the rules
         that f defeats: fragment Y defeats X iff ``fragments[Y] & X``, and
-        ``X & fragments[Y]`` are the rules of X that Y defeats.  Shared by
-        every caller, so read only."""
+        ``X & fragments[Y]`` are the rules of X that Y defeats.  ``g``
+        reads only the keys.  Shared by every caller, so read only."""
         return {
-            f: self.or_of(f, self.defeats)
+            f: kernels._or_of(f, self.defeats)
             for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks)
         }
 

@@ -104,9 +104,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     bounds = Bounds.from_env()
     if args.random and args.file:
         raise PrefasError("give a program file or --random, not both")
+    if args.count < 0:
+        raise PrefasError(f"--count must be a non-negative integer, not {args.count}")
     if args.random:
-        if args.count < 0:
-            raise PrefasError(f"--count must be a non-negative integer, not {args.count}")
         report = fuzz(GenParams(seed=args.seed), args.count, properties, bounds)
         doc = report.to_dict()
         text = str(report)

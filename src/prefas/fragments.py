@@ -48,21 +48,22 @@ order, tests each D with D ∪ R a fragment, and stops at the first that
 survives, which rejects R.  An R with F = ∅ is kept without reading the
 fragment lattice.
 
-The fragment lattice, with A(f) for each fragment f, and ``attacks``
-depend on the rules alone, so they live on the program's shared index,
-the lattice built on first use; only the preference table ``less``
-differs between programs with the same rules.  ``reduct_g`` keeps the
-pairwise override test over the whole lattice, as the oracle that the
-tests check the lemma against.
+The fragment lattice and ``attacks`` depend on the rules alone, so they
+live on the program's shared index, the lattice built on first use; only
+the preference table ``less`` differs between programs with the same
+rules.  The oracle that the tests check the lemma against, the pairwise
+override test over the whole lattice, does not live here:
+``reduct_g_by_definition`` in ``tests/helpers.py`` builds it from
+``is_fragment`` and the test of ``overrides`` alone, so it shares no table
+with this module.
 
 Like ``direct`` and ``gno``, ``_preferred_masks`` returns masks for the
 shared assembly step ``base._assembled``, which keeps the masks with
 consistent heads.  ``preferred_answer_sets_g`` pairs each kept mask with
 its witness, the fragments inside it, so a preferred set with clashing
-heads needs no lattice either.  The witness, like a stable fragment set
-and the result of ``reduct_g``, is a ``FragmentFamily``, a frozenset of
-label sets whose union and heads are the ``AnswerSet``'s ``generating``
-and ``literals``.
+heads needs no lattice either.  The witness, like a stable fragment set,
+is a ``FragmentFamily``, a frozenset of label sets whose union and heads
+are the ``AnswerSet``'s ``generating`` and ``literals``.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .base import (
     defeats,
     minpos,
 )
+from .kernels import _or_of
 from .syntax import PrefProgram
 
 FragmentFamily = frozenset[frozenset[str]]
@@ -129,52 +131,10 @@ def overrides(p: PrefProgram, x: Iterable[str], y: Iterable[str]) -> bool:
     return True
 
 
-def _mask_overrides(idx: _Index, less: Sequence[int], x: int, y: int) -> bool:
-    """``overrides`` on fragment masks, with ``less`` from ``PrefProgram.less``."""
-    dx = x & idx.fragments[y]  # rules of x that y defeats
-    dy = y & idx.fragments[x]
-    if dx == 0 or dy == 0:  # not conflicting
-        return False
-    rest = dx
-    while rest:
-        low = rest & -rest
-        i = low.bit_length() - 1
-        rest ^= low
-        if dy & less[i] == 0:
-            return False
-    return True
-
-
-def reduct_g(p: PrefProgram, e: Iterable[Iterable[str]],
-             bounds: Bounds | None = None) -> FragmentFamily:
-    """Preference-aware fragment reduct of the full fragment lattice w.r.t.
-    the fragments ``e``, each given by its labels.
-
-    With empty preferences no fragment ever overrides another, so this is
-    also the plain reduct that defines stable fragment sets.
-    """
-    idx = _lattice_index(p, bounds)
-    e_masks = []
-    for m in e:
-        labels = frozenset(m)
-        p.rules_of(labels)  # raises the KeyError that names unknown labels
-        mask = idx.mask_of(labels)
-        if mask not in idx.fragments:
-            raise ValueError(f"{sorted(labels)} is not a fragment of the program")
-        e_masks.append(mask)
-    less = p.less
-    frags = idx.fragments
-    return frozenset(
-        idx.labels_of(x)
-        for x in frags
-        if not any(frags[y] & x and not _mask_overrides(idx, less, x, y) for y in e_masks)
-    )
-
-
 def _part_removed(idx: _Index, less: Sequence[int], r: int, d: int) -> bool:
     """Do the fragments inside ``r`` remove the fragment with outside part
     ``d``, that is d | r?  The lemma of the module description."""
-    return any(_beaten(idx, less, r, d, idx.or_of(d, idx.defeats)))
+    return any(_beaten(idx, less, r, d, _or_of(d, idx.defeats)))
 
 
 def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, list[int]]:
@@ -191,7 +151,7 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     out = []
     for r in idx.generating:
         outside = everything & ~r
-        unsettled = outside & ~sum(_beaten(idx, less, r, outside, idx.or_of(outside, idx.defeats)))
+        unsettled = outside & ~sum(_beaten(idx, less, r, outside, _or_of(outside, idx.defeats)))
         part = 0
         while part != unsettled:  # the non-empty submasks of unsettled, ascending
             part = (part - unsettled) & unsettled

@@ -41,6 +41,16 @@ def free_rules(pos_masks: Sequence[int]) -> int:
     return sum(1 << i for i, mask in enumerate(pos_masks) if not mask)
 
 
+def _or_of(mask: int, table: Sequence[int]) -> int:
+    """The union of ``table[i]`` over the set bits i of ``mask``."""
+    bits = 0
+    while mask:
+        low = mask & -mask
+        bits |= table[low.bit_length() - 1]
+        mask ^= low
+    return bits
+
+
 def minpos(members: int, head_bits: Sequence[int], pos_masks: Sequence[int], free: int) -> int:
     """Least fixpoint of rule application ignoring negative bodies.
 
@@ -107,15 +117,6 @@ def enum_fixpoints(
     """
     everything = (1 << n) - 1
     free = free_rules(pos_masks)
-
-    def cut(rules: int) -> int:
-        removed = 0
-        while rules:
-            low = rules & -rules
-            removed |= removes[low.bit_length() - 1]
-            rules ^= low
-        return removed
-
     out = []
     # (L, U, cut(L), cut(U) or -1 while stale, and the cut(L) and cut(U)
     # that last narrowed the other bound, -1 before the first)
@@ -124,13 +125,13 @@ def enum_fixpoints(
         lo, hi, lo_cut, hi_cut, lo_used, hi_used = stack.pop()
         while not lo & ~hi:  # else no completion is a solution
             if hi_cut < 0:
-                hi_cut = cut(hi)
+                hi_cut = _or_of(hi, removes)
             if hi_cut != hi_used:
                 hi_used = hi_cut
                 grown = _minpos(everything & ~hi_cut, head_bits, pos_masks, free) & ~lo
                 if grown:
                     lo |= grown
-                    lo_cut |= cut(grown)
+                    lo_cut |= _or_of(grown, removes)
                 continue
             if lo_cut != lo_used:
                 lo_used = lo_cut

@@ -1,11 +1,14 @@
 """Shared helpers for the test suite."""
 
 import random
+from functools import lru_cache
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from prefas import fragments
 from prefas.base import gl_is_answer_set, is_consistent, minpos
+from prefas.fragments import is_fragment
 from prefas.gno import reduct_gno
 from prefas.syntax import Literal, PrefProgram, Rule, parse_program
 from prefas.verify import GenParams, random_lpp
@@ -51,7 +54,7 @@ def stable_fragment_sets(p):
     """One stable fragment set per generating set: the fragments inside it.
     A generating set defeats none of its own fragments and every fragment
     outside it, so the plain reduct returns exactly these, which the tests
-    check against ``reduct_g``."""
+    check against ``reduct_g_by_definition``."""
     idx = fragments._lattice_index(p, None)
     return [fragments._witness(idx, r) for r in idx.generating]
 
@@ -207,6 +210,78 @@ def d_remover_by_pairs(p):
     defeated = transpose(defeaters, n)
     less = less_masks_by_pairs(p)
     return [defeaters[i] & ~(less[i] & defeated[i]) for i in range(n)]
+
+
+def mask_of(p, labels):
+    """The rules of ``p`` named by ``labels``, as a mask over rule order."""
+    return sum(1 << i for i, r in enumerate(p.rules) if r.label in labels)
+
+
+class Lattice(NamedTuple):
+    """The fragment lattice of one program, from the rule-level definitions."""
+
+    labels: dict  # each fragment's mask, ascending, mapped to its label set
+    defeated: dict  # each fragment's mask mapped to A(f), the rules it defeats
+    less: list  # less[i]: the rules that rule i is preferred over
+
+
+def lattice_by_definition(p):
+    """Oracle for the fragment lattice and its A(f) values: the label sets
+    that ``is_fragment`` accepts, each with the rules that it defeats, and
+    the preference rows of ``less_masks_by_pairs``.  Cached per program,
+    its rules in their order and its closed preferences, so shared by
+    every caller and read only."""
+    return _lattice_by_definition(p.rules, p.prefs)
+
+
+@lru_cache(maxsize=256)
+def _lattice_by_definition(rules, prefs):
+    p = PrefProgram(rules, tuple(prefs))
+    rule_defeats = transpose(defeater_masks_by_pairs(rules), len(rules))
+    labels, defeated = {}, {}
+    for mask, t in enumerate(subsets_in_mask_order(p)):
+        if is_fragment(p, t):
+            labels[mask] = t
+            defeated[mask] = 0
+            for i in range(len(rules)):
+                if mask >> i & 1:
+                    defeated[mask] |= rule_defeats[i]
+    return Lattice(labels, defeated, less_masks_by_pairs(p))
+
+
+def overrides_by_masks(lattice, x, y):
+    """Oracle: ``fragments.overrides`` on the fragment masks ``x`` and
+    ``y`` of ``lattice``.  The fragments conflict when each defeats a rule
+    of the other, and then every rule of x that y defeats must be preferred
+    over some rule of y that x defeats."""
+    defeated, less = lattice.defeated, lattice.less
+    dx = x & defeated[y]  # the rules of x that y defeats
+    dy = y & defeated[x]
+    if not dx or not dy:
+        return False
+    while dx:  # each rule i of dx, lowest first
+        low = dx & -dx
+        if not dy & less[low.bit_length() - 1]:
+            return False
+        dx ^= low
+    return True
+
+
+def reduct_g_by_definition(p, e):
+    """Oracle for the preference-aware fragment reduct: the fragments of
+    ``p`` that no member of ``e``, each given by its labels, defeats
+    without being overridden by them.  With empty preferences no fragment
+    overrides another, so this is also the plain reduct that defines
+    stable fragment sets."""
+    lattice = lattice_by_definition(p)
+    e_masks = [mask_of(p, f) for f in e]
+    return frozenset(
+        lattice.labels[x]
+        for x in lattice.defeated
+        if not any(
+            lattice.defeated[y] & x and not overrides_by_masks(lattice, x, y) for y in e_masks
+        )
+    )
 
 
 def literal_families(answers):

@@ -76,8 +76,12 @@ def test_help_is_still_argparse_help(capsys):
     assert captured.out.startswith("usage: prefas solve") and captured.err == ""
 
 
-def test_negative_count_is_a_clean_error(capsys):
-    assert main(["check", "--random", "--count", "-3"]) == 2
+@pytest.mark.parametrize("with_file", [False, True], ids=["random", "file"])
+def test_negative_count_is_a_clean_error(with_file, tmp_path, capsys):
+    path = tmp_path / "p.lpp"
+    path.write_text("r1: a.\n", encoding="utf-8")
+    source = str(path) if with_file else "--random"
+    assert main(["check", source, "--count", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()

@@ -25,7 +25,7 @@ from prefas import base, direct, fixtures, gno, kernels, verify
 from prefas import fragments as fragments_module
 from prefas.base import AnswerSet, Bounds, answer_sets, generating_sets, is_consistent
 from prefas.direct import preferred_answer_sets_d
-from prefas.fragments import fragments, preferred_answer_sets_g, reduct_g
+from prefas.fragments import fragments, preferred_answer_sets_g
 from prefas.gno import preferred_answer_sets_gno
 from prefas.syntax import BoundExceededError, PrefProgram, parse_program
 from prefas.verify import GenParams, fuzz
@@ -43,9 +43,8 @@ RUN = fixtures.load("indirect_conflict")
         (preferred_answer_sets_g, "max_rules"),
         (preferred_answer_sets_g, "max_fragment_rules"),
         (fragments, "max_fragment_rules"),
-        (lambda p, bounds: reduct_g(p, [], bounds), "max_fragment_rules"),
     ],
-    ids=["as", "generating", "d", "gno", "g-rules", "g-fragments", "fragments", "reduct_g"],
+    ids=["as", "generating", "d", "gno", "g-rules", "g-fragments", "fragments"],
 )
 def test_bounds_hold_after_the_tables_are_built(solve, bound):
     solve(RUN, Bounds())
@@ -152,7 +151,7 @@ def test_distinct_generating_sets_have_distinct_heads(masks_of):
     checked = 0
     for p in _assembly_programs():
         idx, masks = masks_of(p, None)
-        heads = {idx.or_of(m, idx.head_bits) for m in masks}
+        heads = {kernels._or_of(m, idx.head_bits) for m in masks}
         assert len(heads) == len(masks)
         found = base._answer_sets_from_masks(idx, masks)
         assert len({a.literals for a in found}) == len(found)
@@ -164,16 +163,7 @@ def test_distinct_generating_sets_have_distinct_heads(masks_of):
 def test_masks_and_labels_convert_both_ways(p):
     idx = base._index.__wrapped__(p.rules)
     for mask, labels in enumerate(subsets_in_mask_order(p)):
-        assert idx.mask_of(labels) == mask
         assert idx.labels_of(mask) == labels
-
-
-def test_mask_of_ignores_repeats_and_names_unknown_labels():
-    idx = base._index.__wrapped__(loops_with_tail(0).rules)
-    labels = list(idx.labels[::2])
-    assert idx.mask_of(labels + labels[:3]) == idx.mask_of(set(labels))
-    with pytest.raises(KeyError, match="zz"):
-        idx.mask_of([labels[0], "zz"])
 
 
 def _answer_sets_by_rules(p, generating):
@@ -214,7 +204,7 @@ def test_clash_masks_drop_exactly_the_inconsistent_head_sets(p):
     subsets = subsets_in_mask_order(p)
     kept = {a.generating for a in base._answer_sets_from_masks(idx, range(len(subsets)))}
     for mask, labels in enumerate(subsets):
-        heads = idx.or_of(mask, idx.head_bits)
+        heads = kernels._or_of(mask, idx.head_bits)
         consistent = is_consistent(p.rule(l).head for l in labels)
         assert all(heads & c != c for c in idx.clashes) == consistent, sorted(labels)
         assert (labels in kept) == consistent, sorted(labels)

@@ -12,7 +12,7 @@ bounds instead of recomputing them."""
 import random
 
 import pytest
-from helpers import KERNEL_PROGRAMS, even_loops, loops_with_tail, subsets_in_mask_order
+from helpers import KERNEL_PROGRAMS, even_loops, loops_with_tail, mask_of, subsets_in_mask_order
 
 from prefas import base, kernels
 from prefas.base import gl_least_model, minpos
@@ -53,7 +53,7 @@ def test_tables_mark_underived_literals_and_free_rules(p):
 def test_minpos_matches_the_rule_level_definition(p):
     idx = _tables(p)
     for mask, labels in enumerate(subsets_in_mask_order(p)):
-        want = idx.mask_of(minpos(p.rules_of(labels)))
+        want = mask_of(p, minpos(p.rules_of(labels)))
         assert kernels.minpos(mask, idx.head_bits, idx.pos_masks, idx.free) == want
 
 

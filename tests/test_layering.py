@@ -1,7 +1,8 @@
 """The front ends reach the index and the fragment lattice only through
 public names, so that ``base`` and ``fragments`` alone know how they are
-stored; the rule-level definitions reach neither; and every layer that the
-benchmark's traced run wraps is a library function."""
+stored; the rule-level definitions reach neither, nor does the fragment
+lattice oracle of the tests; and every layer that the benchmark's traced
+run wraps is a library function."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ import prefas.kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "prefas"
+TESTS = ROOT / "tests"
 GUARDED = {"base", "fragments"}
 
 
@@ -103,11 +105,16 @@ RULE_LEVEL = {
 }
 FAST_PATH = {"kernels", "_index", "_Index", "_compiled"}
 
+# The fragment lattice oracle of ``helpers`` and what it must not mention
+# beyond ``FAST_PATH``: the lattice index and witness of ``g``, and the
+# ``fragments`` module or an index's ``fragments`` lattice.
+LATTICE_ORACLE = ["lattice_by_definition", "overrides_by_masks", "reduct_g_by_definition"]
+LATTICE_FAST_PATH = FAST_PATH | {"_lattice_index", "_witness", "fragments"}
 
-def fast_path_names(source: str, names: list[str]) -> set[str]:
-    """The names of ``FAST_PATH`` that the functions ``names`` of
-    ``source`` mention, directly or through the module's own functions
-    they call."""
+
+def fast_path_names(source: str, names: list[str], banned: set[str] = FAST_PATH) -> set[str]:
+    """The names of ``banned`` that the functions ``names`` of ``source``
+    mention, directly or through the module's own functions they call."""
     tree = ast.parse(source)
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     found: set[str] = set()
@@ -125,7 +132,7 @@ def fast_path_names(source: str, names: list[str]) -> set[str]:
                 ident = node.attr
             else:
                 continue
-            if ident in FAST_PATH:
+            if ident in banned:
                 found.add(ident)
             elif ident in functions:
                 todo.append(ident)
@@ -149,6 +156,19 @@ def test_rule_level_definitions_stay_off_the_fast_path(module):
 )
 def test_fast_path_names_are_found(source, expected):
     assert fast_path_names(source, ["f"]) == expected
+
+
+def test_lattice_oracle_stays_off_the_fast_path():
+    source = (TESTS / "helpers.py").read_text(encoding="utf-8")
+    assert fast_path_names(source, LATTICE_ORACLE, LATTICE_FAST_PATH) == set()
+
+
+def test_lattice_oracle_guard_finds_the_lattice_index():
+    source = (
+        "def oracle(p):\n    return lattice(p)\n"
+        "def lattice(p):\n    return _lattice_index(p, None).n"
+    )
+    assert fast_path_names(source, ["oracle"], LATTICE_FAST_PATH) == {"_lattice_index"}
 
 
 def _benchmark_spans() -> types.ModuleType:
