@@ -274,7 +274,14 @@ def reduct_g_by_definition(p, e):
     overrides another, so this is also the plain reduct that defines
     stable fragment sets."""
     lattice = lattice_by_definition(p)
-    e_masks = [mask_of(p, f) for f in e]
+    e_masks = []
+    for f in e:
+        labels = frozenset(f)
+        p.rules_of(labels)  # raises the KeyError that names unknown labels
+        mask = mask_of(p, labels)
+        if mask not in lattice.labels:
+            raise ValueError(f"{sorted(labels)} is not a fragment of the program")
+        e_masks.append(mask)
     return frozenset(
         lattice.labels[x]
         for x in lattice.defeated

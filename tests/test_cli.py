@@ -76,16 +76,22 @@ def test_help_is_still_argparse_help(capsys):
     assert captured.out.startswith("usage: prefas solve") and captured.err == ""
 
 
-@pytest.mark.parametrize("with_file", [False, True], ids=["random", "file"])
-def test_negative_count_is_a_clean_error(with_file, tmp_path, capsys):
-    path = tmp_path / "p.lpp"
-    path.write_text("r1: a.\n", encoding="utf-8")
-    source = str(path) if with_file else "--random"
+def assert_negative_count_rejected(source, capsys):
     assert main(["check", source, "--count", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("prefas: ") and "--count" in line and "-3" in line
+
+
+def test_negative_count_is_a_clean_error(capsys):
+    assert_negative_count_rejected("--random", capsys)
+
+
+def test_negative_count_with_a_file_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "p.lpp"
+    path.write_text("r1: a.\n", encoding="utf-8")
+    assert_negative_count_rejected(str(path), capsys)
 
 
 @pytest.mark.parametrize("command", ["solve", "transform", "check"])

@@ -144,6 +144,15 @@ class TestReductG:
     def test_winning_guess_is_a_fixpoint(self):
         assert reduct_g_by_definition(RUN, E3) == frozenset(E3)
 
+    def test_non_fragment_member_rejected(self):
+        with pytest.raises(ValueError):
+            reduct_g_by_definition(RUN, {labelset("r1")})
+
+    def test_unknown_label_named(self):
+        # the same error as ``PrefProgram.rules_of``, not a bare KeyError: 'zz'
+        with pytest.raises(KeyError, match=r"unknown rule labels: \['zz'\]"):
+            reduct_g_by_definition(RUN, [["zz"]])
+
 
 class TestStableFragmentSets:
     def test_indirect_conflict(self):
