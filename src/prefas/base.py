@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from .syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule
+from .syntax import BoundExceededError, Literal, PrefasError, PrefProgram, Rule, _at_bits, _reach
 
 
 # The variable that ``Bounds.from_env`` reads for each field.  The command
@@ -181,16 +181,6 @@ def is_generating(p: PrefProgram, r_labels: Iterable[str]) -> bool:
     return minpos(reduct(p, members)) == members
 
 
-def _at_bits(mask: int, items: Sequence) -> list:
-    """``items[i]`` for each set bit i of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
-    return out
-
-
 class _Index:
     """Bitmask tables for one rule tuple, shared by every semantics.
 
@@ -260,10 +250,10 @@ class _Index:
 
     @cached_property
     def fragments(self) -> dict[int, int]:
-        """Each fragment as a mask, ascending, mapped to A(f), the rules
-        that f defeats: fragment Y defeats X iff ``fragments[Y] & X``, and
-        ``X & fragments[Y]`` are the rules of X that Y defeats.  ``g``
-        reads only the keys.  Shared by every caller, so read only."""
+        """Each fragment as a mask, ascending, mapped to A(f), the rules it
+        defeats.  ``g`` reads only the keys; the values stay, as dropping
+        them raised ``peak_rss_mb`` past its 5% bound (``BENCH_28.json``
+        ``rss_evidence.drop_af``, ROADMAP item 3).  Shared, so read only."""
         return {
             f: kernels._or_of(f, self.defeats)
             for f in kernels.enum_closed(self.n, self.head_bits, self.pos_masks)
@@ -275,20 +265,25 @@ class _Index:
 _index = lru_cache(maxsize=4)(_Index)
 
 
-def _check_rule_bound(n: int, bounds: Bounds | None, field: str = "max_rules") -> None:
-    """Raise when ``n`` rules exceed the rule bound ``field`` of ``bounds``."""
+# What each ``Bounds`` field counts, and the enumeration it caps.
+_BOUNDED = {"max_rules": ("rules", "subset"), "max_fragment_rules": ("rules", "fragment"),
+            "max_atoms": ("distinct head literals", "candidate")}
+
+
+def _check_bound(n: int, bounds: Bounds | None, field: str = "max_rules") -> None:
+    """Raise when ``n`` exceeds the bound ``field`` of ``bounds``."""
     limit = getattr(bounds or DEFAULT_BOUNDS, field)
     if n > limit:
-        kind = "fragment" if field == "max_fragment_rules" else "subset"
+        counted, capped = _BOUNDED[field]
         raise BoundExceededError(
-            f"program has {n} rules; {kind} enumeration is bounded at {limit}", field
+            f"program has {n} {counted}; {capped} enumeration is bounded at {limit}", field
         )
 
 
 def _compiled(p: PrefProgram, bounds: Bounds | None, field: str = "max_rules") -> _Index:
     """The index of ``p``'s rules, once they pass the rule bound ``field``."""
     idx = _index(p.rules)
-    _check_rule_bound(idx.n, bounds, field)
+    _check_bound(idx.n, bounds, field)
     return idx
 
 
@@ -372,14 +367,8 @@ def gl_answer_sets(p: PrefProgram, bounds: Bounds | None = None) -> list[frozens
     the distinct head literals.  There are 2^k of them for k head literals,
     up to two per atom, so ``Bounds.max_atoms`` caps k.
     """
-    bounds = bounds or DEFAULT_BOUNDS
     basis = list(dict.fromkeys(r.head for r in p.rules))
-    if len(basis) > bounds.max_atoms:
-        raise BoundExceededError(
-            f"program has {len(basis)} distinct head literals; candidate enumeration is "
-            f"bounded at {bounds.max_atoms}",
-            "max_atoms",
-        )
+    _check_bound(len(basis), bounds, "max_atoms")
     out = []
     for mask in range(1 << len(basis)):
         cand = frozenset(basis[i] for i in range(len(basis)) if mask >> i & 1)
@@ -393,27 +382,19 @@ def is_stratified(p: PrefProgram) -> bool:
 
     The dependency graph has an edge from a rule's head to each of its body
     literals, the negative-body edges marked; ``a`` and ``-a`` are distinct
-    nodes.  The program is stratified when no marked edge lies on a cycle.
+    nodes, and only head literals have edges out.  The program is
+    stratified when no marked edge lies on a cycle: no head is one of its
+    rule's negative-body literals or in the ``syntax._reach`` row of one.
     """
-    edges: dict[Literal, set[Literal]] = {}
-    neg_edges: list[tuple[Literal, Literal]] = []
+    node: dict[Literal, int] = {}
     for r in p.rules:
-        targets = edges.setdefault(r.head, set())
-        targets.update(r.pos_body)
-        targets.update(r.neg_body)
-        neg_edges.extend((r.head, l) for l in r.neg_body)
-
-    def reaches(src: Literal, dst: Literal) -> bool:
-        stack = [src]
-        visited = set()
-        while stack:
-            node = stack.pop()
-            if node == dst:
-                return True
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.extend(edges.get(node, ()))
-        return False
-
-    return not any(reaches(body_lit, head) for head, body_lit in neg_edges)
+        node.setdefault(r.head, len(node))
+    below: list[list[int]] = [[] for _ in node]
+    for r in p.rules:
+        below[node[r.head]] += [node[l] for l in r.pos_body | r.neg_body if l in node]
+    rows, _ = _reach(below)
+    return not any(
+        l == r.head or l in node and rows[node[l]] >> node[r.head] & 1
+        for r in p.rules
+        for l in r.neg_body
+    )

@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Sequence
 
 from . import kernels
 from .base import AnswerSet, Bounds, _answer_sets_from_masks, _compiled, _Index
-from .syntax import PrefProgram, Rule
+from .syntax import PrefProgram, Rule, _at_bits
 
 
 def directly_conflicting(r1: Rule, r2: Rule) -> bool:
@@ -36,12 +36,9 @@ def _removes(p: PrefProgram, idx: _Index) -> tuple[int, ...]:
     it back, so only those bits of the rows are walked."""
     defeats = idx.defeats
     removes = list(defeats)
+    positions = range(idx.n)
     for i, row in enumerate(p.less):
-        below = row & defeats[i]
-        while below:
-            low = below & -below
-            below ^= low
-            j = low.bit_length() - 1
+        for j in _at_bits(row & defeats[i], positions):
             if defeats[j] >> i & 1:
                 removes[j] &= ~(1 << i)
     return tuple(removes)

@@ -75,7 +75,7 @@ from .base import (
     Bounds,
     _assembled,
     _beaten,
-    _check_rule_bound,
+    _check_bound,
     _compiled,
     _Index,
     defeats,
@@ -145,7 +145,7 @@ def _preferred_masks(p: PrefProgram, bounds: Bounds | None) -> tuple[_Index, lis
     survives rejects R.  An R with no such rule is kept without reading
     the lattice."""
     idx = _lattice_index(p, bounds)
-    _check_rule_bound(idx.n, bounds)  # the generating-set search's bound
+    _check_bound(idx.n, bounds)  # the generating-set search's bound
     less = p.less
     everything = (1 << idx.n) - 1
     out = []

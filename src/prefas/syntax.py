@@ -192,25 +192,42 @@ class PrefProgram:
 def _closed_rows(position: dict[str, int], pairs: Collection[tuple[str, str]]) -> tuple[int, ...]:
     """The transitive closure of ``pairs`` as one bit row per label:
     ``rows[position[hi]]`` holds bit ``position[lo]`` for each ``lo`` below
-    ``hi``.
+    ``hi``, as :func:`_reach` finds it over the edges hi -> lo.
 
-    One post-order DFS over the edges hi -> lo gives each row as the OR of
-    (bit lo | row[lo]) over its written pairs.  A label met again while it is
-    on the stack closes a cycle; the rows are then completed by propagation,
-    and the error names the first ``lo`` in pair order whose row holds its
-    own bit, with its first written ``hi`` that lies below it again.  Raises
-    ``KeyError`` for the first label, in pair order, missing from
-    ``position``.
+    On a cycle the error names the first ``lo`` in pair order whose row
+    holds its own bit, with its first written ``hi`` that lies below it
+    again.  Raises ``KeyError`` for the first label, in pair order, missing
+    from ``position``.
     """
-    n = len(position)
-    below: list[list[int]] = [[] for _ in range(n)]
+    below: list[list[int]] = [[] for _ in range(len(position))]
     try:
         for lo, hi in pairs:
             j = position[lo]
             below[position[hi]].append(j)
     except KeyError as missing:
         raise KeyError(f"preference names unknown rule label {missing.args[0]!r}") from None
+    rows, cyclic = _reach(below)
+    if cyclic:
+        lo = next(lo for lo, _ in pairs if rows[position[lo]] >> position[lo] & 1)
+        row = rows[position[lo]]
+        hi = next(h for l, h in pairs if l == lo and row >> position[h] & 1)
+        raise PreferenceCycleError(
+            f"preferences are cyclic: {lo} and {hi} would each be preferred over the other"
+        )
+    return tuple(rows)
 
+
+def _reach(below: Sequence[Sequence[int]]) -> tuple[list[int], bool]:
+    """The nodes each node reaches by one or more edges, as bit rows, and
+    whether the graph has a cycle; ``below[i]`` lists the nodes that node
+    i's edges lead to.
+
+    One post-order DFS gives each row as the OR of (bit j | row[j]) over
+    its edges i -> j.  A node met again while it is on the stack closes a
+    cycle, and the rows are then completed by propagation, so that a node
+    on a cycle holds its own bit.
+    """
+    n = len(below)
     rows = [0] * n
     state = bytearray(n)  # 0 unseen, 1 on the stack, 2 closed
     cyclic = False
@@ -243,30 +260,28 @@ def _closed_rows(position: dict[str, int], pairs: Collection[tuple[str, str]]) -
         changed = True
         while changed:
             changed = False
-            for hi, los in enumerate(below):
-                row = rows[hi]
-                for lo in los:
-                    row |= 1 << lo | rows[lo]
-                if row != rows[hi]:
-                    rows[hi], changed = row, True
-        lo = next(lo for lo, _ in pairs if rows[position[lo]] >> position[lo] & 1)
-        row = rows[position[lo]]
-        hi = next(h for l, h in pairs if l == lo and row >> position[h] & 1)
-        raise PreferenceCycleError(
-            f"preferences are cyclic: {lo} and {hi} would each be preferred over the other"
-        )
-    return tuple(rows)
+            for i, edges in enumerate(below):
+                row = rows[i]
+                for j in edges:
+                    row |= 1 << j | rows[j]
+                if row != rows[i]:
+                    rows[i], changed = row, True
+    return rows, cyclic
 
 
 def _closed_pairs(labels: Sequence[str], rows: Sequence[int]) -> frozenset[tuple[str, str]]:
     """The pairs ``(lo, hi)`` that the bit rows of ``labels`` hold."""
+    return frozenset((lo, hi) for hi, row in zip(labels, rows) for lo in _at_bits(row, labels))
+
+
+def _at_bits(mask: int, items: Sequence) -> list:
+    """``items[i]`` for each set bit i of ``mask``, ascending."""
     out = []
-    for hi, row in zip(labels, rows):
-        while row:
-            low = row & -row
-            out.append((labels[low.bit_length() - 1], hi))
-            row ^= low
-    return frozenset(out)
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 # The statement pass.  Between tokens the token parser skips blanks, and a

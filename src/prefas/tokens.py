@@ -1,8 +1,8 @@
 """The token parser of program text, the one that reports errors.
 
 :func:`prefas.syntax.parse_program` reads a text a whole statement at a
-time and hands it here when it cannot, so only a text that is invalid, or
-that uses a form the statement pass leaves alone, loads this module.
+time and hands it here when it cannot, which it does only for an invalid
+text, so only such a text loads this module and gets its error here.
 Parsing makes one ``findall`` pass of a compiled token expression over the
 text.  Each match skips blanks and a comment, then yields one token as a
 plain string; a character that starts no token becomes a one-character

@@ -38,9 +38,11 @@ from dataclasses import dataclass
 from itertools import chain, count, repeat
 from typing import Collection, Iterable
 
-from .base import Bounds, _check_rule_bound, gl_is_answer_set, gr
+from .base import Bounds, _check_bound, gl_is_answer_set, gr
 from .gno import preferred_answer_sets_gno, trules
-from .syntax import RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule, format_program
+from .syntax import (
+    RESERVED_PREFIX, Literal, PrefProgram, PrefasError, Rule, _at_bits, format_program,
+)
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def transformed_answer_sets(
     sides of that check and cancel out.
     """
     n = len(t.source.rules)
-    _check_rule_bound(n, bounds)
+    _check_bound(n, bounds)
     # a literal gets its bit when first seen; the name atoms come first, at
     # bits 0..n-1 in source rule order, so a decision over them is its own
     # literal mask
@@ -284,12 +286,7 @@ def transformed_answer_sets(
                 missed, high = grown_missed, close(everything & ~grown_missed)
     out = []
     for _, model in sorted(found):
-        members = []
-        while model:
-            low = model & -model
-            members.append(literal_at[low.bit_length() - 1])
-            model ^= low
-        cand = frozenset(members)
+        cand = frozenset(_at_bits(model, literal_at))
         if gl_is_answer_set(t.program, cand):
             out.append(cand)
     return out

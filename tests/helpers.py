@@ -380,6 +380,30 @@ def loops_with_tail(seed):
     return PrefProgram(tuple(rules), tuple(pairs))
 
 
+def stratified_by_levels(p):
+    """Is ``p`` stratified?  Bellman-Ford over the head literals, sharing no
+    code with the library's reachability search: each round raises a
+    head's level to at least that of each positive-body literal of its
+    rules and above that of each negative-body literal, a literal that no
+    rule derives staying at 0.  A longest path of a stratified program
+    passes each head at most once, so the levels stop changing within
+    |heads| + 1 rounds; a cycle through default negation raises them every
+    round."""
+    level = {r.head: 0 for r in p.rules}
+    for _ in range(len(level) + 1):
+        changed = False
+        for r in p.rules:
+            need = max(
+                [level.get(l, 0) for l in r.pos_body] + [level.get(l, 0) + 1 for l in r.neg_body],
+                default=0,
+            )
+            if need > level[r.head]:
+                level[r.head], changed = need, True
+        if not changed:
+            return True
+    return False
+
+
 MUTUAL_DEFAULTS = parse_program("r1: a :- not b.\nr2: c :- d, not b.\nr3: b :- not a.")
 FACT_CHAIN = parse_program("r1: a.\nr2: b :- a.\nr3: d :- c.")
 DIRECT_PAIR = parse_program("r1: a :- not b.\nr2: b :- not a.\nr2 < r1.")

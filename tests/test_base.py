@@ -12,6 +12,7 @@ from helpers import (
     loops_with_tail,
     preferred_generating_sets,
     small_programs,
+    stratified_by_levels,
     subsets_in_mask_order,
 )
 from hypothesis import given, settings
@@ -334,6 +335,21 @@ class TestStratified:
     def test_classical_literals_are_distinct_nodes(self):
         # a and -a do not close a cycle by themselves
         assert is_stratified(parse_program("r1: a :- not -a."))
+
+    def test_matches_the_level_oracle(self):
+        # stratified and default random_lpp draws of 1-12 rules, plus the
+        # fixtures and the kernel programs; the stratified draws are all
+        # stratified, so the default ones must give both outcomes
+        programs = [fixtures.load(name) for name in sorted(fixtures.SOURCES)]
+        programs += [p for _, p in KERNEL_PROGRAMS]
+        for seed in range(3200):
+            n_rules, n_atoms = 1 + seed % 12, 2 + seed // 12 % 7
+            programs.append(random_lpp(GenParams(
+                seed=seed, n_rules=n_rules, n_atoms=n_atoms, stratified=seed % 2 == 1
+            )))
+        outcomes = [is_stratified(p) for p in programs]
+        assert outcomes == [stratified_by_levels(p) for p in programs]
+        assert {True, False} <= set(outcomes[-3200::2])
 
 
 @settings(max_examples=150, deadline=None)

@@ -306,6 +306,30 @@ def test_statement_pass_leaves_every_error_to_the_token_parser(text, message):
         syntax._parse_statements(text, False)
 
 
+# Random texts over the grammar's pieces: labels, atoms with and without an
+# argument part, each punctuation mark, the keyword, comments, blanks and
+# line ends.  Most are invalid.
+_PIECES = ["r1", "r2", "a", "b", "p(a, b)", "__r", "-", "not", "not(a)", ":", ":-", ",", ".",
+           "<", "% c", " ", "\t", "\r", "\n"]
+
+
+def test_statement_pass_declines_only_what_the_token_parser_rejects():
+    rng = random.Random(30)
+    declined = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 16)))
+        allow_reserved = rng.random() < 0.5
+        try:
+            syntax._parse_statements(text, allow_reserved)
+        except syntax._NotAStatement:
+            declined += 1
+            with pytest.raises(ParseError):
+                tokens.parse_tokens(text, allow_reserved)
+        except PreferenceCycleError:
+            pass
+    assert 10_000 < declined < 20_000
+
+
 def test_statement_pass_raises_the_cycle_error_itself():
     for text, lo, hi in CYCLE_MESSAGES:
         with pytest.raises(PreferenceCycleError, match=re.escape(cycle_message(lo, hi))):
